@@ -92,12 +92,19 @@ def _best_of(runs, fn, *args):
 
 @pytest.fixture(scope="module", autouse=True)
 def bench_report():
-    """Write the machine-readable summary after the module finishes."""
+    """Merge this run's keys into the machine-readable summary.
+
+    A filtered run (``-k campaign``) refreshes only the keys its tests
+    produced; every other key of the existing report is kept.
+    """
     yield
-    stamp_report(_report, config={"n_samples": N_SAMPLES,
-                                  "campaign_trials": CAMPAIGN_TRIALS})
+    report = (json.loads(BENCH_PATH.read_text())
+              if BENCH_PATH.exists() else {})
+    report.update(_report)
+    stamp_report(report, config={"n_samples": N_SAMPLES,
+                                 "campaign_trials": CAMPAIGN_TRIALS})
     RESULTS_DIR.mkdir(exist_ok=True)
-    BENCH_PATH.write_text(json.dumps(_report, indent=2, sort_keys=True)
+    BENCH_PATH.write_text(json.dumps(report, indent=2, sort_keys=True)
                           + "\n")
 
 

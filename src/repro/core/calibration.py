@@ -77,7 +77,8 @@ class SensorModel:
             raise CalibrationError(
                 "need at least 2 calibrated locations for interpolation"
             )
-        if np.any(np.diff(self._locations) <= 0.0):
+        self._widths = np.diff(self._locations)
+        if np.any(self._widths <= 0.0):
             raise CalibrationError("locations must be strictly ascending")
         if not (len(port1_curves) == len(port2_curves)
                 == self._locations.size):
@@ -87,52 +88,35 @@ class SensorModel:
         self._port1 = list(port1_curves)
         self._port2 = list(port2_curves)
         self.frequency = float(frequency)
-        self._tables = (self._stack_curves(self._port1),
-                        self._stack_curves(self._port2))
-
-    @staticmethod
-    def _stack_curves(
-        curves: List[CalibrationCurve],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stack per-location fits into (coefficients, force ranges).
-
-        Coefficients are left-padded with zeros to a common length,
-        which leaves Horner evaluation (``numpy.polyval``'s scheme)
-        unchanged; this is what lets prediction vectorize over
-        arbitrary (force, location) tensors.
-        """
+        # One table row per curve, port 1 then port 2.  Coefficients are
+        # left-padded with zeros to a common length, which leaves Horner
+        # evaluation (``numpy.polyval``'s scheme) unchanged; this is
+        # what lets prediction vectorize over arbitrary tensors.
+        curves = self._port1 + self._port2
         width = max(len(curve.coefficients) for curve in curves)
-        coefficients = np.zeros((len(curves), width))
-        for index, curve in enumerate(curves):
-            coefficients[index, width - len(curve.coefficients):] = (
+        self._coefficients = np.zeros((len(curves), width))
+        for row, curve in enumerate(curves):
+            self._coefficients[row, width - len(curve.coefficients):] = (
                 curve.coefficients)
-        ranges = np.array([curve.force_range for curve in curves])
-        return coefficients, ranges
+        self._ranges = np.array([curve.force_range for curve in curves])
+        self._force_range = (max(curve.force_range[0] for curve in curves),
+                             min(curve.force_range[1] for curve in curves))
 
     def _segments(
-        self, locations: np.ndarray,
+        self, locations: np.ndarray, ndim: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-element interpolation segment index and weight."""
+        """Rows of the (low, high) x (port 1, port 2) curves bracketing
+        each location, shaped (2, 2) plus at least ``ndim`` broadcast
+        axes, and the high curve's interpolation weight."""
         clipped = np.clip(np.asarray(locations, dtype=float),
                           self._locations[0], self._locations[-1])
-        segment = np.clip(
-            np.searchsorted(self._locations, clipped) - 1,
-            0, self._locations.size - 2)
-        weight = (clipped - self._locations[segment]) / (
-            self._locations[segment + 1] - self._locations[segment])
-        return segment, weight
-
-    @staticmethod
-    def _curve_values(coefficients: np.ndarray, ranges: np.ndarray,
-                      segment: np.ndarray,
-                      forces: np.ndarray) -> np.ndarray:
-        """Evaluate per-element calibration curves (Horner's scheme)."""
-        clipped = np.clip(forces, ranges[segment, 0], ranges[segment, 1])
-        gathered = coefficients[segment]
-        values = np.zeros_like(clipped)
-        for power in range(gathered.shape[-1]):
-            values = values * clipped + gathered[..., power]
-        return values
+        # Interval index: the number of interior knots below each one.
+        segment = np.searchsorted(self._locations[1:-1], clipped)
+        weight = (clipped - self._locations[segment]) / self._widths[segment]
+        span = self._locations.size
+        brackets = np.array([[0, span], [1, span + 1]]).reshape(
+            (2, 2) + (1,) * max(ndim, segment.ndim))
+        return segment + brackets, weight
 
     def predict_batch(
         self, forces: np.ndarray, locations: np.ndarray,
@@ -146,61 +130,45 @@ class SensorModel:
         forces = np.asarray(forces, dtype=float)
         if np.any(forces < 0.0):
             raise CalibrationError("forces must be >= 0")
-        segment, weight = self._segments(locations)
-        phases = []
-        for coefficients, ranges in self._tables:
-            low = self._curve_values(coefficients, ranges, segment, forces)
-            high = self._curve_values(coefficients, ranges, segment + 1,
-                                      forces)
-            phases.append((1.0 - weight) * low + weight * high)
-        return phases[0], phases[1]
+        curve, weight = self._segments(locations, forces.ndim)
+        clipped = np.clip(forces, self._ranges[curve, 0],
+                          self._ranges[curve, 1])
+        gathered = self._coefficients[curve]
+        values = np.zeros_like(clipped)
+        for power in range(gathered.shape[-1]):
+            values = values * clipped + gathered[..., power]
+        low, high = values
+        phi1, phi2 = (1.0 - weight) * low + weight * high
+        return phi1, phi2
 
-    def predict_span(
-        self, forces: np.ndarray, locations: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def predict_span(self, forces: np.ndarray,
+                     locations: np.ndarray) -> np.ndarray:
         """Per-sample grid prediction for batched search.
 
-        ``forces`` is (N, F) — one force axis per sample — and
-        ``locations`` is (N, L); returns (phi1, phi2) shaped (N, F, L),
-        sample ``n``'s prediction over the outer product of its axes.
-        Element-wise identical to broadcasting :meth:`predict_batch`
-        over the full grids, but each calibration curve is evaluated
-        once per force axis instead of once per (force, location)
-        cell, which is what makes the batched estimator fast.
+        ``forces`` is (N, F) and ``locations`` is (N, L); returns each
+        sample's phases over the outer product of its axes, shaped
+        (2, N, F, L) with port 1 first, element-wise identical to
+        broadcasting :meth:`predict_batch`.  One broadcast Horner pass
+        (same multiply-add sequence per element) evaluates every curve
+        at every force; each cell then blends its bracketing curves.
         """
         forces = np.asarray(forces, dtype=float)
-        locations = np.asarray(locations, dtype=float)
-        segment, weight = self._segments(locations)
-        needed = np.unique(segment)
-        needed = np.union1d(needed, needed + 1)
-        low_slot = np.searchsorted(needed, segment)[:, np.newaxis, :]
-        high_slot = np.searchsorted(needed, segment + 1)[:, np.newaxis, :]
-        blend = weight[:, np.newaxis, :]
-        phases = []
-        for coefficients, ranges in self._tables:
-            # Calibration schedules usually share one force range
-            # across locations, in which case the clip is hoisted out
-            # of the per-curve loop (identical values either way).
-            shared = bool(np.all(ranges == ranges[0]))
-            if shared:
-                clipped = np.clip(forces, ranges[0, 0], ranges[0, 1])
-            table = np.empty(forces.shape + (needed.size,))
-            for slot, curve in enumerate(needed):
-                if not shared:
-                    clipped = np.clip(forces, ranges[curve, 0],
-                                      ranges[curve, 1])
-                accum = np.full_like(clipped, coefficients[curve, 0])
-                for power in range(1, coefficients.shape[1]):
-                    accum *= clipped
-                    accum += coefficients[curve, power]
-                table[..., slot] = accum
-            low = np.take_along_axis(table, low_slot, axis=2)
-            high = np.take_along_axis(table, high_slot, axis=2)
-            # (1 - w) * low + w * high, evaluated in place.
-            np.multiply(low, 1.0 - blend, out=low)
-            np.multiply(high, blend, out=high)
-            phases.append(np.add(low, high, out=low))
-        return phases[0], phases[1]
+        curve, weight = self._segments(locations)
+        coefficients = self._coefficients[:, :, np.newaxis]
+        clipped = np.clip(forces[:, np.newaxis, :],
+                          self._ranges[:, 0, np.newaxis],
+                          self._ranges[:, 1, np.newaxis])
+        table = np.full(clipped.shape, coefficients[:, 0])
+        for power in range(1, coefficients.shape[1]):
+            table *= clipped
+            table += coefficients[:, power]
+        # Gather each cell's curve along the force axis: (2, 2, N, L, F).
+        low, high = table[np.arange(len(forces))[:, np.newaxis], curve]
+        # (1 - w) * low + w * high, evaluated in place.
+        blend = weight[:, :, np.newaxis]
+        np.multiply(low, 1.0 - blend, out=low)
+        np.multiply(high, blend, out=high)
+        return np.add(low, high, out=low).swapaxes(2, 3)
 
     @property
     def locations(self) -> np.ndarray:
@@ -210,9 +178,7 @@ class SensorModel:
     @property
     def force_range(self) -> Tuple[float, float]:
         """Common calibrated force range [N]."""
-        low = max(curve.force_range[0] for curve in self._port1 + self._port2)
-        high = min(curve.force_range[1] for curve in self._port1 + self._port2)
-        return low, high
+        return self._force_range
 
     def predict(self, force: float, location: float) -> Tuple[float, float]:
         """(phi1, phi2) [rad] for a press of ``force`` at ``location``."""

@@ -92,6 +92,28 @@ class BatchForceLocationEstimate:
             yield self[index]
 
 
+_TWO_PI = 2.0 * np.pi
+
+
+def _linspace_rows(low: np.ndarray, high: np.ndarray,
+                   points: int) -> np.ndarray:
+    """``np.linspace(low[i], high[i], points, axis=-1)`` for each row
+    ``i`` of the leading axis, stacked, bit for bit, without the generic
+    dispatch that dominates small batches: ``low + k * step``, the last
+    point set to ``high``, and the ``k / div * delta`` form for all of a
+    linspace's samples if any of them has a zero step."""
+    div = points - 1
+    step = (high - low) / div
+    ramp = np.arange(points, dtype=float)
+    grid = ramp * step[..., np.newaxis]
+    zero = (step == 0.0).any(axis=-1)
+    if zero.any():
+        grid[zero] = (ramp / div) * (high - low)[zero][..., np.newaxis]
+    grid += low[..., np.newaxis]
+    grid[..., -1] = high
+    return grid
+
+
 def _wrapped_error(shifted_measured, predicted: np.ndarray,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Wrapped (measured - predicted) phase error on [-pi, pi).
@@ -103,9 +125,19 @@ def _wrapped_error(shifted_measured, predicted: np.ndarray,
     at a fraction of the transcendental cost.  Both search paths must
     use this same formula so batch and scalar inversion stay
     bit-identical.  ``out`` may alias ``predicted`` to work in place.
+
+    Equals ``remainder(error, 2 pi) - pi`` bit for bit.  While every
+    error is within two turns of [0, 2 pi), ``turns * 2 pi`` is exact,
+    so subtracting it (one turn less where the quotient rounded up)
+    rounds the exact value ``remainder`` rounds, without its ``fmod``.
     """
     out = np.subtract(shifted_measured, predicted, out=out)
-    np.remainder(out, 2.0 * np.pi, out=out)
+    turns = np.floor(np.divide(out, _TWO_PI))
+    if turns.min(initial=0.0) >= -2.0 and turns.max(initial=0.0) <= 2.0:
+        np.subtract(out, np.multiply(turns, _TWO_PI, out=turns), out=out)
+        np.add(out, _TWO_PI, out=out, where=out < 0.0)
+    else:
+        np.remainder(out, _TWO_PI, out=out)
     np.subtract(out, np.pi, out=out)
     return out
 
@@ -134,10 +166,23 @@ class ForceLocationEstimator:
             )
         if force_resolution <= 0.0 or location_resolution <= 0.0:
             raise EstimationError("search resolutions must be positive")
-        self.model = model
+        self._model = model
         self.touch_threshold = np.radians(touch_threshold_deg)
         self.force_resolution = float(force_resolution)
         self.location_resolution = float(location_resolution)
+        # The hint-free coarse stage searches the same 25 x 25 grid on
+        # every call, so it is predicted once here.  Axes are (force,
+        # location) rows.
+        bounds = np.array([model.force_range, model.locations[[0, -1]]])
+        self._coarse_axes = _linspace_rows(bounds[:, :1], bounds[:, 1:], 25)
+        self._coarse_grids = model.predict_span(*self._coarse_axes)
+        self._coarse_axes.flags.writeable = False
+        self._coarse_grids.flags.writeable = False
+
+    @property
+    def model(self) -> SensorModel:
+        """The inverted model, fixed at construction."""
+        return self._model
 
     def _grid_search(self, measured: Tuple[float, float],
                      force_span: Tuple[float, float],
@@ -214,56 +259,38 @@ class ForceLocationEstimator:
                                      residual=best[2], touched=True)
 
     def _batch_grid_search(
-        self, shifted1: np.ndarray, shifted2: np.ndarray,
-        force_low: np.ndarray, force_high: np.ndarray,
-        location_low: np.ndarray, location_high: np.ndarray,
-        points: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One grid-search stage over N samples with per-sample spans.
+        self, shifted: np.ndarray, axes: np.ndarray,
+        grids: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One grid-search stage over N samples with per-sample axes.
 
-        ``shifted1`` / ``shifted2`` are the measured phases pre-offset
-        by +pi (see :func:`_wrapped_error`).  Builds one
-        (N, points, points) wrapped-residual tensor via the model's
-        per-sample grid prediction; the flattened per-sample argmin
-        uses C order, matching the scalar search's tie-breaking.
+        ``shifted`` is both ports' measured phases pre-offset by +pi
+        (see :func:`_wrapped_error`), shaped (2, N, 1, 1); ``axes`` is
+        the (force, location) search axes, shaped (2, N, points).
+        ``grids`` is the shared (2, 1, points, points) prediction of
+        the coarse stage, if given.  Returns the best (force, location)
+        as a (2, N) array and the residuals.  The flattened per-sample
+        argmin uses C order, matching the scalar search's tie-breaking.
         """
         obs = active()
         if obs is not None:
             obs.counter("estimator.grid_stages").increment()
-        forces = np.linspace(force_low, force_high, points, axis=-1)
-        locations = np.linspace(location_low, location_high, points,
-                                axis=-1)
-        if (force_low[0] == force_low).all() \
-                and (force_high[0] == force_high).all() \
-                and (location_low[0] == location_low).all() \
-                and (location_high[0] == location_high).all():
-            # All samples share one span (the hint-free coarse stage):
-            # predict a single (points, points) grid and broadcast it
-            # against the batch instead of predicting N copies.
-            grid1, grid2 = self.model.predict_grid(forces[0], locations[0])
-            error1 = _wrapped_error(shifted1[:, np.newaxis, np.newaxis],
-                                    grid1[np.newaxis, :, :])
-            error2 = _wrapped_error(shifted2[:, np.newaxis, np.newaxis],
-                                    grid2[np.newaxis, :, :])
+        if grids is None:
+            # Freshly allocated; wrap in place.
+            grids = self.model.predict_span(axes[0], axes[1])
+            error = _wrapped_error(shifted, grids, out=grids)
         else:
-            grid1, grid2 = self.model.predict_span(forces, locations)
-            # The grids are freshly allocated; wrap in place.
-            error1 = _wrapped_error(shifted1[:, np.newaxis, np.newaxis],
-                                    grid1, out=grid1)
-            error2 = _wrapped_error(shifted2[:, np.newaxis, np.newaxis],
-                                    grid2, out=grid2)
-        np.multiply(error1, error1, out=error1)
-        np.multiply(error2, error2, out=error2)
+            error = _wrapped_error(shifted, grids)
+        np.multiply(error, error, out=error)
         # argmin over e1^2 + e2^2: the scalar path's 0.5 factor is an
         # exact, monotone scale, so the minimiser (ties included) is
         # unchanged and the factor is applied to the winner only.
-        score = np.add(error1, error2, out=error1).reshape(shifted1.size,
-                                                           -1)
+        score = np.add(error[0], error[1], out=error[0]).reshape(
+            axes.shape[1], -1)
         flat = np.argmin(score, axis=1)
-        rows = np.arange(shifted1.size)
-        best_force = forces[rows, flat // points]
-        best_location = locations[rows, flat % points]
-        return best_force, best_location, np.sqrt(0.5 * score[rows, flat])
+        rows = np.arange(flat.size)
+        best = axes[[[0], [1]], rows, np.divmod(flat, axes.shape[2])]
+        return best, np.sqrt(0.5 * score[rows, flat])
 
     def invert_batch(self, phi1: np.ndarray, phi2: np.ndarray,
                      location_hint: Optional[np.ndarray] = None
@@ -309,47 +336,42 @@ class ForceLocationEstimator:
         count = phi1.shape[0]
         touched = ~((np.abs(phi1) < self.touch_threshold)
                     & (np.abs(phi2) < self.touch_threshold))
-        force = np.zeros(count)
-        location = np.zeros(count)
-        residual = np.zeros(count)
+        # Force, location and residual rows; untouched samples stay 0.
+        result = np.zeros((3, count))
         active = np.flatnonzero(touched)
         if active.size:
-            force_low, force_high = self.model.force_range
-            calibrated = self.model.locations
-            location_low = np.full(active.size, float(calibrated[0]))
-            location_high = np.full(active.size, float(calibrated[-1]))
-            if location_hint is not None:
+            shifted = np.stack((phi1[active], phi2[active]))[
+                :, :, np.newaxis, np.newaxis] + np.pi
+            # (force, location) search bounds, (2, 1) or per sample.
+            low = self._coarse_axes[:, :, 0]
+            high = self._coarse_axes[:, :, -1]
+            if location_hint is None:
+                best, residual = self._batch_grid_search(
+                    shifted, self._coarse_axes.repeat(active.size, axis=1),
+                    self._coarse_grids)
+            else:
                 hint = np.broadcast_to(
                     np.atleast_1d(np.asarray(location_hint, dtype=float)),
                     (count,))[active]
-                location_low = np.maximum(location_low, hint - 10e-3)
-                location_high = np.minimum(location_high, hint + 10e-3)
-                if np.any(location_low >= location_high):
+                low = np.stack((np.full(hint.size, low[0, 0]),
+                                np.maximum(low[1, 0], hint - 10e-3)))
+                high = np.stack((np.full(hint.size, high[0, 0]),
+                                 np.minimum(high[1, 0], hint + 10e-3)))
+                if np.any(low[1] >= high[1]):
                     raise EstimationError(
                         "location hint lies outside the calibrated span"
                     )
-            measured1 = phi1[active] + np.pi
-            measured2 = phi2[active] + np.pi
-            span_force_low = np.full(active.size, force_low)
-            span_force_high = np.full(active.size, force_high)
-            best = self._batch_grid_search(
-                measured1, measured2, span_force_low, span_force_high,
-                location_low, location_high, 25)
+                best, residual = self._batch_grid_search(
+                    shifted, _linspace_rows(low, high, 25))
             for zoom in (0.15, 0.03):
-                force_radius = zoom * (force_high - force_low)
-                location_radius = zoom * (location_high - location_low)
-                span_force_low = np.maximum(force_low,
-                                            best[0] - force_radius)
-                span_force_high = np.minimum(force_high,
-                                             best[0] + force_radius)
-                span_location_low = np.maximum(location_low,
-                                               best[1] - location_radius)
-                span_location_high = np.minimum(location_high,
-                                                best[1] + location_radius)
-                best = self._batch_grid_search(
-                    measured1, measured2, span_force_low, span_force_high,
-                    span_location_low, span_location_high, 21)
-            force[active], location[active], residual[active] = best
+                radius = zoom * (high - low)
+                best, residual = self._batch_grid_search(
+                    shifted, _linspace_rows(np.maximum(low, best - radius),
+                                            np.minimum(high, best + radius),
+                                            21))
+            result[:2, active] = best
+            result[2, active] = residual
+        force, location, residual = result
         return BatchForceLocationEstimate(force=force, location=location,
                                           residual=residual,
                                           touched=touched)

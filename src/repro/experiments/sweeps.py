@@ -146,7 +146,6 @@ def sweep_calibration_density(carrier: float = 900e6, fast: bool = True,
         rng = np.random.default_rng(seed + index)
         reader = _build_reader(carrier, fast, seed + index)
         reader.model = model
-        reader.estimator.model = model
         # Rebuild the estimator against the new model cleanly.
         from repro.core.estimator import ForceLocationEstimator
         reader.estimator = ForceLocationEstimator(model)

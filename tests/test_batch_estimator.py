@@ -6,6 +6,8 @@ hints and tie-breaking — and ``CampaignExecutor`` only changes
 wall-clock time, never values.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.estimator import (
     BatchForceLocationEstimate,
     ForceLocationEstimator,
+    _linspace_rows,
+    _wrapped_error,
 )
 from repro.errors import (
     CampaignTrialError,
@@ -105,6 +109,104 @@ class TestInvertBatch:
         estimator = ForceLocationEstimator(model_900)
         with pytest.raises(EstimationError):
             estimator.invert_batch(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def _model_phases(model, count, seed):
+    """``count`` noisy phase pairs of presses across the span."""
+    rng = np.random.default_rng(seed)
+    forces = rng.uniform(0.5, 8.0, count)
+    locations = rng.uniform(model.locations[0], model.locations[-1], count)
+    phi1, phi2 = model.predict_batch(forces, locations)
+    return (phi1 + rng.normal(0.0, np.radians(1.5), count),
+            phi2 + rng.normal(0.0, np.radians(1.5), count))
+
+
+def _state_size(estimator):
+    """Serialized size of the estimator, its model included."""
+    return len(pickle.dumps(estimator))
+
+
+class TestServingBatchSizes:
+    """The batch path at the micro-batch sizes a server flushes."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 8, 32])
+    @pytest.mark.parametrize("hint", [None, 0.041])
+    def test_matches_scalar_bit_for_bit(self, model_900, count, hint):
+        estimator = ForceLocationEstimator(model_900)
+        phi1, phi2 = _model_phases(model_900, count, seed=count)
+        batch, scalar = _pair_batch(estimator, phi1, phi2, hint=hint)
+        assert len(batch) == count
+        for field in ("force", "location", "residual"):
+            expected = np.array([getattr(e, field) for e in scalar])
+            assert getattr(batch, field).tobytes() == expected.tobytes()
+        assert batch.touched.tolist() == [e.touched for e in scalar]
+
+    def test_coarse_grid_is_read_only(self, model_900):
+        estimator = ForceLocationEstimator(model_900)
+        grids = estimator._coarse_grids
+        assert grids.shape == (2, 1, 25, 25)
+        assert not grids.flags.writeable
+        with pytest.raises(ValueError):
+            grids[0, 0, 0, 0] = 0.0
+        for axis in estimator._coarse_axes:
+            assert not axis.flags.writeable
+        with pytest.raises(AttributeError):
+            estimator.model = model_900
+
+    def test_state_does_not_grow_across_calls(self, model_900):
+        """No per-span cache: at N=1 every stage has a new span."""
+        estimator = ForceLocationEstimator(model_900)
+        rng = np.random.default_rng(3)
+        estimator.invert_batch(np.array([1.0]), np.array([1.0]))
+        before = _state_size(estimator)
+        low, high = model_900.locations[0], model_900.locations[-1]
+        for index in range(1000):
+            hint = None if index % 2 else rng.uniform(low, high)
+            estimator.invert_batch(rng.uniform(-np.pi, np.pi, 1),
+                                   rng.uniform(-np.pi, np.pi, 1),
+                                   location_hint=hint)
+        assert _state_size(estimator) == before
+
+
+class TestExactKernels:
+    """The hand-rolled kernels equal the numpy calls they replace."""
+
+    def test_linspace_rows_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        low = rng.uniform(-5.0, 5.0, 64)
+        high = low + rng.uniform(0.0, 3.0, 64)
+        for points in (2, 21, 25):
+            assert (_linspace_rows(low, high, points).tobytes()
+                    == np.linspace(low, high, points, axis=-1).tobytes())
+        # One zero-width row switches numpy to its k / div * delta form
+        # for the whole batch.
+        high[5] = low[5]
+        assert (_linspace_rows(low, high, 21).tobytes()
+                == np.linspace(low, high, 21, axis=-1).tobytes())
+        # Stacked (force, location) rows are separate linspace calls: a
+        # zero step in one row leaves the other row's form alone.
+        low2, high2 = low.reshape(2, 32), high.reshape(2, 32)
+        expected = np.stack([np.linspace(a, b, 21, axis=-1)
+                             for a, b in zip(low2, high2)])
+        assert (_linspace_rows(low2, high2, 21).tobytes()
+                == expected.tobytes())
+
+    def test_wrapped_error_matches_remainder(self):
+        two_pi = 2.0 * np.pi
+        rng = np.random.default_rng(1)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+        for turn in range(-3, 5):
+            for value in (turn * two_pi, turn * two_pi * (1 + 1e-16)):
+                edges += [value, np.nextafter(value, np.inf),
+                          np.nextafter(value, -np.inf)]
+        for errors in (np.array(edges), rng.uniform(-3 * two_pi,
+                                                     4 * two_pi, 4096)):
+            # Within two turns (the exact fast path) and beyond it.
+            for subset in (errors[(errors > -2 * two_pi)
+                                  & (errors < 3 * two_pi)], errors):
+                expected = np.remainder(subset, two_pi) - np.pi
+                assert (_wrapped_error(subset, 0.0).tobytes()
+                        == expected.tobytes())
 
 
 def _seeded_draw(seed):

@@ -94,6 +94,33 @@ class TestSensorModel:
                 assert phi1[i, j] == pytest.approx(p1)
                 assert phi2[i, j] == pytest.approx(p2)
 
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_predict_span_matches_predict_batch_bytes(self, samples):
+        """The broadcast Horner pass equals element-wise prediction,
+        bit for bit, with per-curve force ranges that differ (the
+        clip the repo's shared-range calibrations never exercise)."""
+        rng = np.random.default_rng(samples)
+        locations = (0.020, 0.035, 0.050, 0.060)
+
+        def curves(port):
+            return [CalibrationCurve(
+                location, tuple(rng.normal(0.0, 0.3, 4)),
+                (0.2 * index + 0.1 * port, 8.0 - 0.7 * index - 0.3 * port))
+                for index, location in enumerate(locations)]
+
+        model = SensorModel(locations, curves(0), curves(1), 900e6)
+        low = rng.uniform(0.0, 6.0, samples)
+        forces = np.linspace(low, low + 3.0, 21, axis=-1)
+        start = rng.uniform(0.010, 0.055, samples)
+        spans = np.linspace(start, start + 0.02, 17, axis=-1)
+        phases = model.predict_span(forces, spans)
+        assert phases.shape == (2, samples, 21, 17)
+        expected = model.predict_batch(forces[:, :, np.newaxis],
+                                       spans[:, np.newaxis, :])
+        for port in range(2):
+            assert (np.ascontiguousarray(phases[port]).tobytes()
+                    == expected[port].tobytes())
+
     def test_force_range(self, port_model):
         low, high = port_model.force_range
         assert low == pytest.approx(0.5)
