@@ -3,20 +3,25 @@
 CI runs this after the bench-smoke suites regenerate the benchmark
 reports, comparing them against the baselines committed in
 ``benchmarks/results/``.  The gate fails (exit code 1) when any
-tracked throughput metric drops — or any latency metric in
-``LOWER_IS_BETTER`` rises — by more than ``--max-regression``
-(default 20%).
+tracked metric moves the wrong way by more than ``--max-regression``
+(default 20%), when a hard contract breaks, or when a tracked metric
+is missing from either report.
 
-By default only **machine-normalized ratio metrics** are gated — the
-batch-vs-scalar speedup and the service-vs-serial speedup — because a
-CI runner is not the machine that produced the committed baseline, so
-absolute req/s numbers would gate on hardware, not code.  Pass
-``--absolute`` to also gate raw throughputs (useful when baseline and
-fresh report come from the same machine).
+What is tracked is one declarative table, :data:`KINDS`: each report
+kind (recognized by a marker key) maps to its metrics, and each
+metric gives its path in the report, its direction, and its gate:
 
-The script understands both report schemas (``BENCH_estimator.json``
-and ``BENCH_serve.json``) by key inspection, so pre-``schema_version``
-baselines keep working.
+* ``ratio`` — a machine-normalized ratio (speedup, accept rate),
+  always gated against the relative threshold;
+* ``hard`` — a pass/fail contract collapsed to 1.0/0.0 (bit-identical
+  parity, an error cap); the fresh report must read 1.0;
+* ``absolute`` — raw throughput or latency, which gates hardware as
+  much as code, so it is gated only with ``--absolute`` (useful when
+  baseline and fresh report come from the same machine).
+
+A kind present on either side requires its metrics on both: a ratio
+or hard metric missing from the baseline or the fresh report fails,
+and so does an absolute metric present on one side only.
 """
 
 from __future__ import annotations
@@ -25,126 +30,149 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-#: Metrics gated on *increase* rather than decrease (latencies).
-LOWER_IS_BETTER = frozenset({
-    "gateway_p99_latency_ms",
-    "gateway_p50_latency_ms",
-    "fleet_p99_latency_ms",
-})
+RATIO, HARD, ABSOLUTE = "ratio", "hard", "absolute"
+
+
+def _as_float(value: Any, report: dict) -> float:
+    return float(value)
+
+
+class Metric(NamedTuple):
+    """One gated metric: ``derive(value at path, report)`` -> float."""
+
+    name: str
+    path: str
+    gate: str = RATIO
+    lower_is_better: bool = False
+    derive: Callable[[Any, dict], float] = _as_float
+
+
+def _parity_ok(parity: dict, report: dict) -> float:
+    return float(parity.get("max_force_delta_n", 1.0) == 0.0
+                 and parity.get("max_location_delta_m", 1.0) == 0.0
+                 and parity.get("touched_match", False)
+                 and parity.get("compared", 1) > 0)
+
+
+def _accept_rate(rate: float, report: dict) -> float:
+    return 1.0 - float(rate)
+
+
+def _per_second(seconds: float, report: dict) -> float:
+    return report["n_samples"] / seconds
+
+
+#: Report kind -> (marker paths, any of which identifies the kind;
+#: the kind's metrics).
+KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[Metric, ...]]] = {
+    "estimator": (("batch_speedup", "batch_seconds"), (
+        Metric("batch_speedup", "batch_speedup"),
+        Metric("batch_inversions_per_s", "batch_seconds", ABSOLUTE,
+               derive=_per_second),
+        Metric("scalar_inversions_per_s", "scalar_seconds", ABSOLUTE,
+               derive=_per_second),
+    )),
+    # Warm- and cold-pool speedups over the acquisition-paced serial
+    # campaign (paced by sleeps, not host compute).
+    "campaign": (("campaign",), (
+        Metric("campaign_parallel_speedup", "campaign.parallel_speedup"),
+        Metric("campaign_cold_speedup", "campaign.cold_speedup"),
+    )),
+    "cache": (("warm_speedup",), (
+        Metric("warm_speedup", "warm_speedup"),
+    )),
+    # Only the fused-vs-oracle cold speedup is a ratio gate; the
+    # stream batch ratio sits near 1 by design and would gate on
+    # timer noise.
+    "reader": (("cold_speedup",), (
+        Metric("cold_speedup", "cold_speedup"),
+        Metric("fast_frames_per_s", "fast_frames_per_s", ABSOLUTE),
+        Metric("oracle_frames_per_s", "oracle_frames_per_s", ABSOLUTE),
+    )),
+    "chaos": (("survival",), (
+        Metric("chaos_survival_rate", "survival.survival_rate"),
+    )),
+    "faults": (("fault_gate_overhead",), (
+        Metric("faults_chaos_survival_rate", "chaos.survival_rate"),
+    )),
+    "serve": (("speedup_vs_serial",), (
+        Metric("speedup_vs_serial", "speedup_vs_serial"),
+        Metric("service_throughput_rps", "service.throughput_rps",
+               ABSOLUTE),
+        Metric("serial_throughput_rps", "serial_baseline.throughput_rps",
+               ABSOLUTE),
+    )),
+    "gateway": (("gateway_vs_inprocess",), (
+        Metric("gateway_vs_inprocess", "gateway_vs_inprocess"),
+        Metric("gateway_accept_rate", "gateway.rejection_rate",
+               derive=_accept_rate),
+        Metric("gateway_throughput_rps", "gateway.throughput_rps",
+               ABSOLUTE),
+        Metric("gateway_p50_latency_ms", "gateway.p50_latency_ms",
+               ABSOLUTE, lower_is_better=True),
+        Metric("gateway_p99_latency_ms", "gateway.p99_latency_ms",
+               ABSOLUTE, lower_is_better=True),
+    )),
+    "fleet": (("sharded_vs_single",), (
+        Metric("sharded_vs_single", "sharded_vs_single"),
+        Metric("fleet_shard_balance", "shard_balance"),
+        Metric("fleet_parity_ok", "parity", HARD, derive=_parity_ok),
+        Metric("fleet_throughput_rps", "fleet.throughput_rps", ABSOLUTE),
+        Metric("fleet_p99_latency_ms", "fleet.p99_latency_ms", ABSOLUTE,
+               lower_is_better=True),
+    )),
+    "surrogate": (("surrogate_speedup",), (
+        Metric("surrogate_speedup", "surrogate_speedup"),
+        Metric("surrogate_parity_ok", "surrogate_p95_error_delta", HARD,
+               derive=lambda delta, report: float(delta <= 1.0)),
+        Metric("surrogate_accept_rate", "surrogate_fallback_rate",
+               derive=_accept_rate),
+    )),
+}
+
+_MISSING = object()
+
+
+def _lookup(report: dict, path: str) -> Any:
+    node: Any = report
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            return _MISSING
+        node = node[key]
+    return node
+
+
+def tracked_metrics(*reports: dict, absolute: bool = False
+                    ) -> List[Metric]:
+    """Metrics of every kind present in any of ``reports``."""
+    return [metric
+            for markers, metrics in KINDS.values()
+            if any(_lookup(report, marker) is not _MISSING
+                   for report in reports for marker in markers)
+            for metric in metrics
+            if absolute or metric.gate != ABSOLUTE]
 
 
 def extract_metrics(report: dict, absolute: bool = False
                     ) -> Dict[str, float]:
-    """Higher-is-better throughput metrics from either report schema."""
-    metrics: Dict[str, float] = {}
-    # BENCH_estimator.json shape.
-    if "batch_speedup" in report:
-        metrics["batch_speedup"] = float(report["batch_speedup"])
-    if absolute and report.get("batch_seconds") and "n_samples" in report:
-        metrics["batch_inversions_per_s"] = (
-            report["n_samples"] / report["batch_seconds"])
-    if absolute and report.get("scalar_seconds") and "n_samples" in report:
-        metrics["scalar_inversions_per_s"] = (
-            report["n_samples"] / report["scalar_seconds"])
-    # BENCH_estimator.json campaign block: warm- and cold-pool
-    # speedups over the acquisition-paced serial campaign.  Both are
-    # machine-normalized ratios (and the workload is paced by sleeps,
-    # not host compute), so they are always gated — the original
-    # 0.52x parallel regression shipped precisely because this block
-    # was invisible to CI.
-    campaign = report.get("campaign")
-    if isinstance(campaign, dict):
-        if "parallel_speedup" in campaign:
-            metrics["campaign_parallel_speedup"] = float(
-                campaign["parallel_speedup"])
-        if "cold_speedup" in campaign:
-            metrics["campaign_cold_speedup"] = float(
-                campaign["cold_speedup"])
-    # BENCH_cache.json shape.
-    if "warm_speedup" in report:
-        metrics["warm_speedup"] = float(report["warm_speedup"])
-    # BENCH_reader.json shape.  Only the fused-vs-oracle cold speedup
-    # is gated; the stream batch ratio sits near 1 by design (both
-    # sides are bound by the same per-frame noise draws) and would
-    # gate on timer noise.
-    if "cold_speedup" in report:
-        metrics["cold_speedup"] = float(report["cold_speedup"])
-    if absolute and report.get("fast_frames_per_s"):
-        metrics["fast_frames_per_s"] = float(report["fast_frames_per_s"])
-    if absolute and report.get("oracle_frames_per_s"):
-        metrics["oracle_frames_per_s"] = float(
-            report["oracle_frames_per_s"])
-    # BENCH_chaos.json shape: the survival rate is a ratio in [0, 1]
-    # and machine-independent, so it is always gated.
-    if "survival" in report:
-        metrics["chaos_survival_rate"] = float(
-            report["survival"]["survival_rate"])
-    # BENCH_gateway.json shape.  The gateway-vs-in-process throughput
-    # ratio and the accept rate are machine-normalized, so they are
-    # always gated; absolute throughput and latency percentiles gate
-    # hardware as much as code and sit behind ``--absolute``.
-    if "gateway_vs_inprocess" in report:
-        metrics["gateway_vs_inprocess"] = float(
-            report["gateway_vs_inprocess"])
-        gateway = report.get("gateway", {})
-        if "rejection_rate" in gateway:
-            metrics["gateway_accept_rate"] = 1.0 - float(
-                gateway["rejection_rate"])
-        if absolute:
-            if "throughput_rps" in gateway:
-                metrics["gateway_throughput_rps"] = float(
-                    gateway["throughput_rps"])
-            for percentile in ("p50", "p99"):
-                key = f"{percentile}_latency_ms"
-                if key in gateway:
-                    metrics[f"gateway_{key}"] = float(gateway[key])
-    # BENCH_fleet.json shape.  The sharded-vs-single ratio and the
-    # ring balance are machine-normalized; parity is the bit-identical
-    # contract collapsed to 1.0/0.0, so any nonzero delta fails the
-    # gate outright (a 1.0 baseline cannot tolerate a 0.0).
-    if "sharded_vs_single" in report:
-        metrics["sharded_vs_single"] = float(report["sharded_vs_single"])
-        if "shard_balance" in report:
-            metrics["fleet_shard_balance"] = float(
-                report["shard_balance"])
-        parity = report.get("parity", {})
-        if parity:
-            metrics["fleet_parity_ok"] = float(
-                parity.get("max_force_delta_n", 1.0) == 0.0
-                and parity.get("max_location_delta_m", 1.0) == 0.0
-                and parity.get("touched_match", False))
-        if absolute and "fleet" in report:
-            metrics["fleet_throughput_rps"] = float(
-                report["fleet"]["throughput_rps"])
-            metrics["fleet_p99_latency_ms"] = float(
-                report["fleet"]["latency_p99_s"]) * 1e3
-    # BENCH_surrogate.json shape.  The amortized-predict speedup is a
-    # machine-normalized ratio (grid and surrogate timed back-to-back
-    # on the same host), so it is always gated.  The accuracy contract
-    # is collapsed to 1.0/0.0 on the normalized p95 error delta (worst
-    # of force/location as a fraction of its cap): a fresh report over
-    # the cap reads 0.0 against a 1.0 baseline and fails outright —
-    # the delta is a *hard cap*, not a trend to regress gradually.
-    if "surrogate_speedup" in report:
-        metrics["surrogate_speedup"] = float(report["surrogate_speedup"])
-        if "surrogate_p95_error_delta" in report:
-            metrics["surrogate_parity_ok"] = float(
-                report["surrogate_p95_error_delta"] <= 1.0)
-        if "surrogate_fallback_rate" in report:
-            metrics["surrogate_accept_rate"] = 1.0 - float(
-                report["surrogate_fallback_rate"])
-    # BENCH_serve.json shape.
-    if "speedup_vs_serial" in report:
-        metrics["speedup_vs_serial"] = float(report["speedup_vs_serial"])
-    if absolute and "service" in report:
-        metrics["service_throughput_rps"] = float(
-            report["service"]["throughput_rps"])
-    if absolute and "serial_baseline" in report:
-        metrics["serial_throughput_rps"] = float(
-            report["serial_baseline"]["throughput_rps"])
-    return metrics
+    """The tracked metrics this report carries, by name."""
+    values = {}
+    for metric in tracked_metrics(report, absolute=absolute):
+        value = _lookup(report, metric.path)
+        if value is not _MISSING and value is not None:
+            values[metric.name] = metric.derive(value, report)
+    return values
+
+
+def _row(name: str, base: str, fresh: str, change: str,
+         verdict: str) -> str:
+    return f"{name:<26}  {base:>12}  {fresh:>12}  {change:>8}  {verdict}"
+
+
+def _shown(value: Optional[float]) -> str:
+    return "missing" if value is None else f"{value:.3f}"
 
 
 def compare(baseline: dict, fresh: dict, max_regression: float = 0.20,
@@ -155,31 +183,44 @@ def compare(baseline: dict, fresh: dict, max_regression: float = 0.20,
     fresh_metrics = extract_metrics(fresh, absolute=absolute)
     if not base_metrics:
         return [], ["baseline report carries no tracked metrics"]
-    lines = [f"{'metric':<26}  {'baseline':>12}  {'fresh':>12}  "
-             f"{'change':>8}  verdict"]
+    lines = [_row("metric", "baseline", "fresh", "change", "verdict")]
     failures: List[str] = []
-    for name, base_value in sorted(base_metrics.items()):
+    for metric in sorted(tracked_metrics(baseline, fresh,
+                                         absolute=absolute),
+                         key=lambda metric: metric.name):
+        name = metric.name
+        base_value = base_metrics.get(name)
         fresh_value = fresh_metrics.get(name)
-        if fresh_value is None:
-            failures.append(f"metric {name} missing from fresh report")
-            lines.append(f"{name:<26}  {base_value:>12.3f}  "
-                         f"{'missing':>12}  {'-':>8}  FAIL")
+        shown = (name, _shown(base_value), _shown(fresh_value))
+        if base_value is None or fresh_value is None:
+            if base_value is None and fresh_value is None:
+                if metric.gate == ABSOLUTE:
+                    continue
+                side = "both reports"
+            else:
+                side = "baseline" if base_value is None else "fresh report"
+            failures.append(f"metric {name} missing from {side}")
+            lines.append(_row(*shown, "-", "FAIL"))
+            continue
+        if metric.gate == HARD:
+            verdict = "ok" if fresh_value == 1.0 else "FAIL"
+            lines.append(_row(*shown, "-", verdict))
+            if verdict == "FAIL":
+                failures.append(f"{name} broke its hard contract "
+                                f"({base_value:.3f} -> {fresh_value:.3f})")
             continue
         if base_value <= 0.0:
-            lines.append(f"{name:<26}  {base_value:>12.3f}  "
-                         f"{fresh_value:>12.3f}  {'-':>8}  skip "
-                         f"(non-positive baseline)")
+            lines.append(_row(*shown, "-", "skip (non-positive baseline)"))
             continue
         change = fresh_value / base_value - 1.0
-        if name in LOWER_IS_BETTER:
+        if metric.lower_is_better:
             regressed = change > max_regression
             direction = "rose"
         else:
             regressed = change < -max_regression
             direction = "regressed"
-        verdict = "FAIL" if regressed else "ok"
-        lines.append(f"{name:<26}  {base_value:>12.3f}  "
-                     f"{fresh_value:>12.3f}  {change:>+7.1%}  {verdict}")
+        lines.append(_row(*shown, f"{change:+7.1%}",
+                          "FAIL" if regressed else "ok"))
         if regressed:
             failures.append(
                 f"{name} {direction} {abs(change):.1%} "

@@ -7,6 +7,7 @@ Fig. 14) are computed once per session and shared.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,20 @@ def _report(name: str, text: str) -> None:
     print(banner)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def merge_report(path: Path, updates: dict) -> dict:
+    """Merge ``updates`` into the JSON report at ``path``; rewrite it.
+
+    Keys the run did not produce keep their existing values, so a
+    filtered run (``pytest benchmarks/test_perf_fleet.py -k ring``)
+    refreshes only its own keys instead of truncating the report.
+    """
+    report = json.loads(path.read_text()) if path.exists() else {}
+    report.update(updates)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return report
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,8 @@ import pytest
 import repro
 from repro.obs import stamp_report
 
+from conftest import merge_report
+
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_PATH = RESULTS_DIR / "BENCH_cache.json"
 
@@ -100,9 +102,7 @@ def bench_report():
     yield
     stamp_report(_report, config={"units": UNITS,
                                   "min_warm_speedup": MIN_WARM_SPEEDUP})
-    RESULTS_DIR.mkdir(exist_ok=True)
-    BENCH_PATH.write_text(json.dumps(_report, indent=2, sort_keys=True)
-                          + "\n")
+    merge_report(BENCH_PATH, _report)
 
 
 def test_warm_campaign_speedup_and_bit_identity(tmp_path_factory):

@@ -16,7 +16,6 @@ the CI smoke run under ``--benchmark-disable``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -32,6 +31,8 @@ from repro.experiments.montecarlo import (
 from repro.experiments.parallel import CampaignExecutor, shutdown_pools
 from repro.experiments.scenarios import calibrated_model
 from repro.obs import is_enabled, observed, stamp_report
+
+from conftest import merge_report
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_PATH = RESULTS_DIR / "BENCH_estimator.json"
@@ -98,14 +99,9 @@ def bench_report():
     produced; every other key of the existing report is kept.
     """
     yield
-    report = (json.loads(BENCH_PATH.read_text())
-              if BENCH_PATH.exists() else {})
-    report.update(_report)
-    stamp_report(report, config={"n_samples": N_SAMPLES,
-                                 "campaign_trials": CAMPAIGN_TRIALS})
-    RESULTS_DIR.mkdir(exist_ok=True)
-    BENCH_PATH.write_text(json.dumps(report, indent=2, sort_keys=True)
-                          + "\n")
+    stamp_report(_report, config={"n_samples": N_SAMPLES,
+                                  "campaign_trials": CAMPAIGN_TRIALS})
+    merge_report(BENCH_PATH, _report)
 
 
 def test_batch_matches_scalar_and_speedup(estimator, phases):

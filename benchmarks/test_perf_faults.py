@@ -19,7 +19,6 @@ The machine-readable summary lands in
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -30,6 +29,8 @@ from repro.core.estimator import ForceLocationEstimator
 from repro.experiments.scenarios import calibrated_model
 from repro.faults import FaultPlan, armed, inject
 from repro.obs import stamp_report
+
+from conftest import merge_report
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_PATH = RESULTS_DIR / "BENCH_faults.json"
@@ -70,9 +71,7 @@ def bench_report():
     """Write the machine-readable summary after the module finishes."""
     yield
     stamp_report(_report, config={"n_samples": N_SAMPLES})
-    RESULTS_DIR.mkdir(exist_ok=True)
-    BENCH_PATH.write_text(json.dumps(_report, indent=2, sort_keys=True)
-                          + "\n")
+    merge_report(BENCH_PATH, _report)
 
 
 def test_unarmed_fault_layer_overhead(estimator, phases):

@@ -14,7 +14,7 @@ The network-layer claims tracked here:
 
 The machine-readable report lands in
 ``benchmarks/results/BENCH_gateway.json`` (same shape as the
-``repro gateway-bench`` CLI output).
+``repro bench --transport gateway`` CLI output).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.gateway import run_gateway_benchmark
-from repro.serve import LoadProfile, write_report
+from repro.serve.loadgen import LoadProfile, run_benchmark, write_report
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_PATH = RESULTS_DIR / "BENCH_gateway.json"
@@ -37,7 +36,7 @@ PROFILE = LoadProfile(sensors=8, requests_per_sensor=64, max_batch=32,
 @pytest.fixture(scope="module")
 def gateway_report():
     """Run the tracked load once; persist the JSON report."""
-    report = run_gateway_benchmark(PROFILE)
+    report = run_benchmark(PROFILE, transport="gateway")
     write_report(report, BENCH_PATH)
     return report
 

@@ -21,7 +21,6 @@ of the measured runs, and ``compare_bench.py`` gates ``cold_speedup``.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -41,6 +40,8 @@ from repro.reader.batch import FastSounder
 from repro.reader.sounder import FrameLevelSounder
 from repro.reader.waveform import OFDMSounderConfig
 from repro.sensor.tag import TagState, WiForceTag
+
+from conftest import merge_report
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_PATH = RESULTS_DIR / "BENCH_reader.json"
@@ -96,9 +97,7 @@ def bench_report():
                                   "batch": BATCH,
                                   "min_cold_speedup": MIN_COLD_SPEEDUP,
                                   "numba": HAVE_NUMBA})
-    RESULTS_DIR.mkdir(exist_ok=True)
-    BENCH_PATH.write_text(json.dumps(_report, indent=2, sort_keys=True)
-                          + "\n")
+    merge_report(BENCH_PATH, _report)
 
 
 def test_cold_capture_speedup():

@@ -11,7 +11,7 @@ The serving claims tracked here:
 
 The machine-readable report lands in
 ``benchmarks/results/BENCH_serve.json`` (same shape as the
-``repro serve-bench`` CLI output), emitted with plain
+``repro bench`` CLI output), emitted with plain
 ``time.perf_counter`` timing so the CI smoke run under
 ``--benchmark-disable`` produces it too.
 """
@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve import (
-    InferenceService,
+from repro.serve import InferenceService
+from repro.serve.loadgen import (
     LoadProfile,
     generate_requests,
     run_benchmark,
@@ -68,6 +68,7 @@ def test_service_beats_serial_baseline(serve_report):
 def test_service_parity_under_load(serve_report):
     """Batched service results == scalar invert, element-wise."""
     parity = serve_report["parity"]
+    assert parity["compared"] == PROFILE.total_requests
     assert parity["max_force_delta_n"] == 0.0
     assert parity["max_location_delta_m"] == 0.0
     assert parity["touched_match"]
@@ -75,7 +76,7 @@ def test_service_parity_under_load(serve_report):
 
 def test_latency_percentiles_reported(serve_report):
     service = serve_report["service"]
-    assert 0.0 <= service["latency_p50_s"] <= service["latency_p99_s"]
+    assert 0.0 <= service["p50_latency_ms"] <= service["p99_latency_ms"]
     assert service["throughput_rps"] > 0.0
 
 
@@ -111,10 +112,8 @@ def test_perf_service_batched(benchmark):
     model = calibrated_model(PROFILE.carrier_frequency,
                              fast=PROFILE.fast)
     requests = generate_requests(model, PROFILE)
-    policy = BatchPolicy(max_batch=PROFILE.max_batch,
-                         max_delay_s=PROFILE.max_delay_s,
-                         max_queue=max(1024, PROFILE.total_requests))
-    benchmark.pedantic(_drive_service, args=(policy, requests, model),
+    benchmark.pedantic(_drive_service,
+                       args=(PROFILE.policy, requests, model),
                        rounds=3, iterations=1)
 
 

@@ -19,7 +19,6 @@ it once, asserts the gated numbers, and writes the report as
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,8 @@ from repro.surrogate import (
     evaluate_surrogate,
     train_surrogate,
 )
+
+from conftest import merge_report
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_PATH = RESULTS_DIR / "BENCH_surrogate.json"
@@ -89,11 +90,8 @@ def phases(model):
 def bench_report():
     """Write the machine-readable summary after the module finishes."""
     yield
-    if not _report:
-        return
-    RESULTS_DIR.mkdir(exist_ok=True)
-    BENCH_PATH.write_text(json.dumps(_report, indent=2, sort_keys=True)
-                          + "\n")
+    if _report:
+        merge_report(BENCH_PATH, _report)
 
 
 def test_amortized_speedup(report):

@@ -7,11 +7,10 @@ Commands:
     read        Simulate wireless reads of one press with a saved model.
     demo        One-command end-to-end demo (build, calibrate, read).
     report      Run every paper-figure runner, write REPORT.md.
-    serve-bench Drive the async inference service with synthetic load.
-    fleet-bench Drive the sharded fleet and check single-shard parity.
+    bench       Drive the serving stack (in-process, sharded or through
+                the gateway) with synthetic load; exit 1 on a parity miss.
     surrogate   Train / evaluate the learned amortized inverse backend.
     gateway     Serve the inference service over HTTP/WebSocket sockets.
-    gateway-bench  Load-test the gateway through real loopback sockets.
     chaos       Run the serve campaign under an armed fault plan.
     obs-report  Summarize the observability manifest of a bench run.
     trace       Render a trace waterfall from exported span events.
@@ -164,16 +163,22 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs import Profiler
-    from repro.serve import LoadProfile, run_benchmark, summarize, write_report
+    from repro.serve.loadgen import (
+        LoadProfile,
+        bench_mode,
+        parity_ok,
+        run_benchmark,
+        summarize,
+        write_report,
+    )
 
     profile = LoadProfile(
         sensors=args.sensors,
         requests_per_sensor=args.requests,
         max_batch=args.max_batch,
         max_delay_s=args.max_delay_ms * 1e-3,
-        batching=not args.no_batching,
         carrier_frequency=args.carrier,
         fast=not args.full,
         backend=args.backend,
@@ -181,64 +186,30 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         arrival=args.arrival,
         arrival_rate_rps=args.arrival_rate,
         pareto_alpha=args.pareto_alpha,
-    )
-    logger.info(
-        "driving the inference service with %d requests "
-        "(%d sensors x %d samples, max batch %d, deadline %.1f ms, "
-        "%s arrivals)",
-        profile.total_requests, profile.sensors,
-        profile.requests_per_sensor, profile.max_batch,
-        profile.max_delay_s * 1e3, profile.arrival)
-    profiler = Profiler(enabled=args.profile)
-    report = run_benchmark(profile, profiler=profiler)
-    print(summarize(report))
-    if args.profile:
-        print()
-        print(profiler.report())
-    path = write_report(report, args.output)
-    print(f"Wrote {path}")
-    return 0
-
-
-def _cmd_fleet_bench(args: argparse.Namespace) -> int:
-    from repro.serve import LoadProfile, write_report
-    from repro.serve.fleet import (
-        FleetProfile,
-        run_fleet_benchmark,
-        summarize_fleet,
-    )
-
-    profile = FleetProfile(
-        load=LoadProfile(
-            sensors=args.sensors,
-            requests_per_sensor=args.requests,
-            max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms * 1e-3,
-            carrier_frequency=args.carrier,
-            backend=args.backend,
-            seed=args.seed,
-            arrival=args.arrival,
-            arrival_rate_rps=args.arrival_rate,
-            pareto_alpha=args.pareto_alpha,
-        ),
         shards=args.shards,
         vnodes=args.vnodes,
     )
     logger.info(
-        "driving %d shards with %d requests (%d sensors x %d samples, "
-        "%s arrivals)",
-        profile.shards, profile.load.total_requests,
-        profile.load.sensors, profile.load.requests_per_sensor,
-        profile.load.arrival)
-    report = run_fleet_benchmark(profile)
-    print(summarize_fleet(report))
-    path = write_report(report, args.output)
+        "driving %d requests (%d sensors x %d samples, %d shard(s), "
+        "max batch %d, deadline %.1f ms, %s arrivals) over the %s "
+        "transport", profile.total_requests, profile.sensors,
+        profile.requests_per_sensor, profile.shards, profile.max_batch,
+        profile.max_delay_s * 1e3, profile.arrival, args.transport)
+    profiler = Profiler(enabled=args.profile)
+    report = run_benchmark(profile, transport=args.transport,
+                           profiler=profiler)
+    print(summarize(report))
+    if args.profile:
+        print()
+        print(profiler.report())
+    output = args.output or (f"benchmarks/results/BENCH_"
+                             f"{bench_mode(args.transport, args.shards)}"
+                             f".json")
+    path = write_report(report, output)
     print(f"Wrote {path}")
-    if report["parity"]["max_force_delta_n"] != 0.0 or \
-            report["parity"]["max_location_delta_m"] != 0.0 or \
-            not report["parity"]["touched_match"]:
-        logger.error("sharded fleet is NOT bit-identical to the "
-                     "single-shard reference")
+    if not parity_ok(report):
+        logger.error("parity check failed: served estimates differ from "
+                     "the reference, or nothing was answered")
         return 1
     return 0
 
@@ -300,39 +271,6 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gateway_bench(args: argparse.Namespace) -> int:
-    from repro.gateway import run_gateway_benchmark
-    from repro.gateway import summarize as gateway_summarize
-    from repro.serve import LoadProfile, write_report
-
-    profile = LoadProfile(
-        sensors=args.connections,
-        requests_per_sensor=args.requests,
-        max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms * 1e-3,
-        carrier_frequency=args.carrier,
-        fast=not args.full,
-        backend=args.backend,
-        seed=args.seed,
-        arrival=args.arrival,
-        arrival_rate_rps=args.arrival_rate,
-        pareto_alpha=args.pareto_alpha,
-    )
-    logger.info(
-        "load-testing the gateway with %d requests over %d tenant "
-        "connections (%s arrivals)", profile.total_requests,
-        profile.sensors, profile.arrival)
-    report = run_gateway_benchmark(profile)
-    print(gateway_summarize(report))
-    path = write_report(report, args.output)
-    print(f"Wrote {path}")
-    if not report["parity"]["touched_match"] \
-            or report["parity"]["max_force_delta_n"] > 0.0:
-        logger.error("gateway parity check failed")
-        return 1
-    return 0
-
-
 def _cmd_surrogate(args: argparse.Namespace) -> int:
     from repro.experiments.scenarios import calibrated_model
     from repro.surrogate import (
@@ -381,7 +319,7 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import chaos
     from repro.faults.plan import FaultPlan
-    from repro.serve import LoadProfile, write_report
+    from repro.serve.loadgen import LoadProfile, write_report
 
     if args.plan:
         plan = FaultPlan.load(args.plan)
@@ -438,7 +376,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     path = Path(args.input)
     if not path.exists():
         logger.error("no benchmark report at %s — run "
-                     "`python -m repro serve-bench` first", path)
+                     "`python -m repro bench` first", path)
         return 1
     report = json.loads(path.read_text())
     manifest = report.get("manifest") or {}
@@ -524,7 +462,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     path = Path(args.input)
     if not path.exists():
         logger.error("no benchmark report at %s — run "
-                     "`python -m repro serve-bench` first", path)
+                     "`python -m repro bench` first", path)
         return 1
     report = json.loads(path.read_text())
     statuses = evaluate_report(report_slos(), report)
@@ -652,57 +590,43 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--full", dest="fast", action="store_false",
                            help="full-resolution transducers (slower)")
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="benchmark the async micro-batching inference service")
-    serve_bench.add_argument("--sensors", type=int, default=8,
-                             help="concurrent sensor streams (default 8)")
-    serve_bench.add_argument("--requests", type=int, default=64,
-                             help="samples per stream (default 64)")
-    serve_bench.add_argument("--max-batch", type=int, default=32,
-                             help="micro-batch flush size (default 32)")
-    serve_bench.add_argument("--max-delay-ms", type=float, default=2.0,
-                             help="micro-batch flush deadline [ms]")
-    serve_bench.add_argument("--no-batching", action="store_true",
-                             help="bench the degraded scalar-direct path")
-    serve_bench.add_argument("--carrier", type=float, default=900e6)
-    serve_bench.add_argument("--seed", type=int, default=7)
-    serve_bench.add_argument("--full", action="store_true",
-                             help="full-resolution calibration (slower)")
-    serve_bench.add_argument(
-        "--output", default="benchmarks/results/BENCH_serve.json",
-        help="JSON report path")
-    serve_bench.add_argument(
+    bench = sub.add_parser(
+        "bench",
+        help="drive the serving stack with synthetic load and check "
+             "parity with a reference run")
+    bench.add_argument(
+        "--transport", choices=["inprocess", "gateway"],
+        default="inprocess",
+        help="call the service in-process (default) or through a "
+             "loopback gateway, one WebSocket per sensor")
+    bench.add_argument("--shards", type=int, default=1,
+                       help="consistent-hash service shards on one "
+                            "event loop (in-process only; default 1)")
+    bench.add_argument("--vnodes", type=int, default=64,
+                       help="virtual nodes per shard on the hash ring "
+                            "(default 64)")
+    bench.add_argument("--sensors", type=int, default=8,
+                       help="concurrent sensor streams (default 8)")
+    bench.add_argument("--requests", type=int, default=64,
+                       help="samples per stream (default 64)")
+    bench.add_argument("--max-batch", type=int, default=32,
+                       help="micro-batch flush size (default 32)")
+    bench.add_argument("--max-delay-ms", type=float, default=2.0,
+                       help="micro-batch flush deadline [ms]")
+    bench.add_argument("--carrier", type=float, default=900e6)
+    bench.add_argument("--seed", type=int, default=7)
+    bench.add_argument("--full", action="store_true",
+                       help="full-resolution calibration (slower)")
+    bench.add_argument(
+        "--output", default="",
+        help="JSON report path (default benchmarks/results/"
+             "BENCH_serve.json, BENCH_gateway.json or BENCH_fleet.json "
+             "by transport and shard count)")
+    bench.add_argument(
         "--profile", action="store_true",
         help="print a per-stage hotspot profile of the bench run")
-    _add_backend_argument(serve_bench)
-    _add_arrival_arguments(serve_bench)
-
-    fleet_bench = sub.add_parser(
-        "fleet-bench",
-        help="benchmark the consistent-hash sharded fleet vs one shard")
-    fleet_bench.add_argument("--sensors", type=int, default=1024,
-                             help="simulated sensor streams "
-                                  "(default 1024; nightly runs 100000)")
-    fleet_bench.add_argument("--requests", type=int, default=4,
-                             help="samples per stream (default 4)")
-    fleet_bench.add_argument("--shards", type=int, default=4,
-                             help="service shards / worker threads "
-                                  "(default 4)")
-    fleet_bench.add_argument("--vnodes", type=int, default=64,
-                             help="virtual nodes per shard on the hash "
-                                  "ring (default 64)")
-    fleet_bench.add_argument("--max-batch", type=int, default=32,
-                             help="micro-batch flush size (default 32)")
-    fleet_bench.add_argument("--max-delay-ms", type=float, default=2.0,
-                             help="micro-batch flush deadline [ms]")
-    fleet_bench.add_argument("--carrier", type=float, default=900e6)
-    fleet_bench.add_argument("--seed", type=int, default=7)
-    fleet_bench.add_argument(
-        "--output", default="benchmarks/results/BENCH_fleet.json",
-        help="JSON report path")
-    _add_backend_argument(fleet_bench)
-    _add_arrival_arguments(fleet_bench)
+    _add_backend_argument(bench)
+    _add_arrival_arguments(bench)
 
     surrogate = sub.add_parser(
         "surrogate",
@@ -771,29 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     gateway.add_argument(
         "--idle-ttl-s", type=float, default=900.0,
         help="evict sensor sessions idle longer than this [s]")
-
-    gateway_bench = sub.add_parser(
-        "gateway-bench",
-        help="load-test the gateway through real loopback sockets")
-    gateway_bench.add_argument(
-        "--connections", type=int, default=8,
-        help="concurrent tenant connections (default 8)")
-    gateway_bench.add_argument("--requests", type=int, default=64,
-                               help="samples per connection (default 64)")
-    gateway_bench.add_argument("--max-batch", type=int, default=32,
-                               help="micro-batch flush size (default 32)")
-    gateway_bench.add_argument("--max-delay-ms", type=float, default=2.0,
-                               help="micro-batch flush deadline [ms]")
-    gateway_bench.add_argument("--carrier", type=float, default=900e6)
-    gateway_bench.add_argument("--seed", type=int, default=7)
-    gateway_bench.add_argument(
-        "--full", action="store_true",
-        help="full-resolution calibration (slower)")
-    gateway_bench.add_argument(
-        "--output", default="benchmarks/results/BENCH_gateway.json",
-        help="JSON report path")
-    _add_backend_argument(gateway_bench)
-    _add_arrival_arguments(gateway_bench)
 
     chaos = sub.add_parser(
         "chaos",
@@ -883,11 +784,9 @@ _COMMANDS = {
     "read": _cmd_read,
     "demo": _cmd_demo,
     "report": _cmd_report,
-    "serve-bench": _cmd_serve_bench,
-    "fleet-bench": _cmd_fleet_bench,
+    "bench": _cmd_bench,
     "surrogate": _cmd_surrogate,
     "gateway": _cmd_gateway,
-    "gateway-bench": _cmd_gateway_bench,
     "chaos": _cmd_chaos,
     "obs-report": _cmd_obs_report,
     "trace": _cmd_trace,

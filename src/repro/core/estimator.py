@@ -145,31 +145,27 @@ def _wrapped_error(shifted_measured, predicted: np.ndarray,
 class ForceLocationEstimator:
     """Inverts a :class:`SensorModel`.
 
+    The search is a fixed zoom schedule: a 25 x 25 grid over the
+    calibrated span (or the hinted window), then two 21 x 21 grids
+    zoomed to +/- 15% and +/- 3% of the span around the best point.
+
     Args:
         model: Calibrated phase-force model.
         touch_threshold_deg: Phases below this magnitude at both ports
             are classified as "no contact".
-        force_resolution / location_resolution: Final grid pitch of the
-            zoomed search [N] / [m].
     """
 
     #: Registry name of this inversion strategy (see
     #: :func:`build_estimator`); subclasses override it.
     backend = "grid"
 
-    def __init__(self, model: SensorModel, touch_threshold_deg: float = 5.0,
-                 force_resolution: float = 0.01,
-                 location_resolution: float = 0.05e-3):
+    def __init__(self, model: SensorModel, touch_threshold_deg: float = 5.0):
         if touch_threshold_deg < 0.0:
             raise EstimationError(
                 f"touch threshold must be >= 0, got {touch_threshold_deg}"
             )
-        if force_resolution <= 0.0 or location_resolution <= 0.0:
-            raise EstimationError("search resolutions must be positive")
         self._model = model
         self.touch_threshold = np.radians(touch_threshold_deg)
-        self.force_resolution = float(force_resolution)
-        self.location_resolution = float(location_resolution)
         # The hint-free coarse stage searches the same 25 x 25 grid on
         # every call, so it is predicted once here.  Axes are (force,
         # location) rows.
@@ -391,9 +387,7 @@ def build_estimator(model: SensorModel, backend: str = "grid",
     same ``invert`` / ``invert_batch`` contract.
 
     * ``"grid"`` — the coarse-plus-zoom grid search (the accuracy
-      oracle); ``options`` pass through to
-      :class:`ForceLocationEstimator` (``force_resolution``,
-      ``location_resolution``).
+      oracle); it takes no ``options``.
     * ``"surrogate"`` — the learned amortized inverse of
       :mod:`repro.surrogate` (imported lazily so the core package
       carries no dependency on it); ``options`` pass through to

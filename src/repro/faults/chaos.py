@@ -1,8 +1,8 @@
 """Chaos harness: a serve campaign run under an armed fault plan.
 
-Drives the async inference service with the same synthetic fleet as
-``repro serve-bench`` while a :class:`~repro.faults.plan.FaultPlan` is
-armed, then reports *survival*: how many requests rode a degraded
+Drives the async inference service with the same synthetic fleet and
+the same transports as ``repro bench`` (:mod:`repro.serve.loadgen`)
+while a :class:`~repro.faults.plan.FaultPlan` is armed, then reports *survival*: how many requests rode a degraded
 path (and said so via their ``quality`` flag), how many recovered
 through the bounded retry budget, how many were shed as backpressure,
 and how many crashed outright.  The acceptance bar for the built-in
@@ -22,8 +22,7 @@ This module is imported lazily (it pulls in the whole serve stack);
 from __future__ import annotations
 
 import asyncio
-import time
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.errors import QueueFullError, ServeError
 from repro.faults.inject import inject
@@ -32,9 +31,13 @@ from repro.faults.retry import RetryPolicy
 from repro.obs.manifest import stamp_report
 from repro.obs.recorder import recording
 from repro.obs.registry import observed
-from repro.serve.loadgen import LoadProfile, generate_requests
-from repro.serve.protocol import EstimateRequest, EstimateResponse
-from repro.serve.scheduler import BatchPolicy
+from repro.serve.loadgen import (
+    TRANSPORTS,
+    LoadProfile,
+    Outcome,
+    generate_requests,
+    profile_block,
+)
 from repro.serve.service import InferenceService
 from repro.serve.session import ModelFactory
 
@@ -72,97 +75,7 @@ def default_profile() -> LoadProfile:
     return LoadProfile(sensors=4, requests_per_sensor=48)
 
 
-async def _drive_gateway(
-    service: InferenceService, requests: List[EstimateRequest],
-) -> List[Union[EstimateResponse, BaseException]]:
-    """Fire every request through a real gateway socket.
-
-    Boots a :class:`repro.gateway.Gateway` around the service on an
-    ephemeral loopback port, opens one WebSocket connection per sensor
-    stream, and maps the wire outcomes back into the survival
-    taxonomy: ``"estimate"`` replies decode to
-    :class:`EstimateResponse`, ``"backpressure"`` / ``"quota"`` error
-    envelopes count as shed (:class:`QueueFullError`), and anything
-    else — including a dropped connection — counts as a crash.
-    """
-    from repro.errors import GatewayError
-    from repro.gateway import Gateway, WebSocketClient
-
-    def to_outcome(kind: str, message: dict
-                   ) -> Union[EstimateResponse, BaseException]:
-        if kind == "estimate":
-            return EstimateResponse.from_dict(message["response"])
-        code = message.get("code", "")
-        text = message.get("error", "gateway error")
-        if code in ("backpressure", "quota"):
-            return QueueFullError(text)
-        return GatewayError(f"{code}: {text}")
-
-    async def one_connection(
-        host: str, port: int, stream: List[EstimateRequest],
-    ) -> List[Union[EstimateResponse, BaseException]]:
-        client = await WebSocketClient.connect(host, port)
-        outcomes: dict = {}
-        try:
-            for request in stream:
-                await client.send_json({"type": "estimate",
-                                        "request": request.to_dict()})
-            answered = 0
-            while answered < len(stream):
-                message = await client.recv_json()
-                kind = message.get("type", "")
-                if kind == "touch_event":
-                    continue
-                if kind == "estimate":
-                    sequence = message["response"]["sequence"]
-                else:
-                    sequence = message.get("sequence", -1)
-                outcomes[sequence] = to_outcome(kind, message)
-                answered += 1
-        except Exception as exc:  # noqa: BLE001 - survival accounting
-            for request in stream:
-                outcomes.setdefault(request.sequence, exc)
-        finally:
-            await client.close()
-        return [outcomes.get(request.sequence,
-                             GatewayError("no reply"))
-                for request in stream]
-
-    by_sensor: dict = {}
-    for request in requests:
-        by_sensor.setdefault(request.sensor_id, []).append(request)
-    async with Gateway(service) as gateway:
-        host, port = gateway.address
-        per_stream = await asyncio.gather(*(
-            one_connection(host, port, stream)
-            for stream in by_sensor.values()))
-    position = {sensor_id: 0 for sensor_id in by_sensor}
-    streams = dict(zip(by_sensor, per_stream))
-    flattened = []
-    for request in requests:
-        index = position[request.sensor_id]
-        position[request.sensor_id] = index + 1
-        flattened.append(streams[request.sensor_id][index])
-    return flattened
-
-
-async def _drive(service: InferenceService,
-                 requests: List[EstimateRequest],
-                 ) -> List[Union[EstimateResponse, BaseException]]:
-    """Fire every request; capture per-request failures instead of
-    letting one exception cancel the whole campaign."""
-
-    async def one(request: EstimateRequest):
-        try:
-            return await service.estimate(request)
-        except Exception as exc:  # noqa: BLE001 - survival accounting
-            return exc
-
-    return list(await asyncio.gather(*(one(r) for r in requests)))
-
-
-def _survival(outcomes: List[Union[EstimateResponse, BaseException]]
-              ) -> dict:
+def _survival(outcomes: List[Outcome]) -> dict:
     """The survival block: outcome counts and the survival rate.
 
     A *faulted* request is any request that did not come back
@@ -210,11 +123,11 @@ def run_chaos(plan: Optional[FaultPlan] = None,
             committed plan file replays under many seeds.
         model_factory: Config -> model override for the session cache.
         retry_policy: Service-side backpressure retry budget.
-        transport: ``"inprocess"`` calls the service directly (the
-            default); ``"gateway"`` routes every request through a
-            real loopback :class:`repro.gateway.Gateway` socket, so
-            injected faults must also survive the network framing
-            layer.
+        transport: A :data:`repro.serve.loadgen.TRANSPORTS` name:
+            ``"inprocess"`` calls the service directly (the default);
+            ``"gateway"`` routes every request through a real loopback
+            :class:`repro.gateway.Gateway` socket, so injected faults
+            must also survive the network framing layer.
 
     The report's ``events`` and ``survival`` blocks are deterministic
     for fixed arguments on the in-process transport; ``timing`` and
@@ -223,9 +136,9 @@ def run_chaos(plan: Optional[FaultPlan] = None,
     but not event-order determinism — cross-connection arrival order
     over real sockets is scheduler noise.
     """
-    if transport not in ("inprocess", "gateway"):
+    if transport not in TRANSPORTS:
         raise ServeError(
-            f"transport must be 'inprocess' or 'gateway', got "
+            f"transport must be one of {sorted(TRANSPORTS)}, got "
             f"{transport!r}")
     if plan is None:
         plan = default_plan(seed if seed is not None else 0)
@@ -233,26 +146,16 @@ def run_chaos(plan: Optional[FaultPlan] = None,
         plan = FaultPlan(specs=plan.specs, seed=seed, name=plan.name)
     if profile is None:
         profile = default_profile()
-    policy = BatchPolicy(
-        max_batch=profile.max_batch,
-        max_delay_s=profile.max_delay_s,
-        max_queue=max(1024, profile.total_requests),
-        enabled=profile.batching,
-    )
     with recording() as recorder, observed() as registry:
-        service = InferenceService(policy=policy,
+        service = InferenceService(policy=profile.policy,
                                    model_factory=model_factory,
                                    registry=registry,
                                    retry_policy=retry_policy)
         estimator = service.sessions.estimator(profile.config)
         requests = generate_requests(estimator.model, profile)
         with inject(plan) as injector:
-            start = time.perf_counter()
-            if transport == "gateway":
-                outcomes = asyncio.run(_drive_gateway(service, requests))
-            else:
-                outcomes = asyncio.run(_drive(service, requests))
-            wall = time.perf_counter() - start
+            outcomes, _, wall = asyncio.run(
+                TRANSPORTS[transport](service, requests))
             events = injector.event_dicts()
         for event in events:
             recorder.note_fault(event)
@@ -270,14 +173,7 @@ def run_chaos(plan: Optional[FaultPlan] = None,
     report = {
         "plan": plan.to_dict(),
         "transport": transport,
-        "profile": {
-            "sensors": profile.sensors,
-            "requests_per_sensor": profile.requests_per_sensor,
-            "total_requests": profile.total_requests,
-            "max_batch": profile.max_batch,
-            "max_delay_s": profile.max_delay_s,
-            "seed": profile.seed,
-        },
+        "profile": profile_block(profile, transport),
         "events": events,
         "injected_faults": len(events),
         "survival": survival,

@@ -1,7 +1,6 @@
 """Observability instruments: counters, gauges, histograms, spans.
 
-Promoted from ``repro.serve.telemetry`` so every subsystem shares one
-instrument vocabulary.  The hot paths (scheduler flushes, batched
+Every subsystem shares this one instrument vocabulary.  The hot paths (scheduler flushes, batched
 inversions, per-group tracking) touch these on every operation, so the
 instruments are deliberately tiny — plain attribute updates, no locks
 (single-process use) and no external dependencies.

@@ -4,23 +4,11 @@ Multiplexes many per-sensor streams of phase samples into adaptive
 micro-batched :meth:`ForceLocationEstimator.invert_batch` calls, with
 bounded-queue backpressure, graceful scalar degradation, and built-in
 telemetry.  See DESIGN.md ("Serving architecture") for the data flow
-and README.md ("Serving") for the quickstart.
+and README.md ("Serving") for the quickstart.  The synthetic load
+driver behind ``repro bench`` lives in :mod:`repro.serve.loadgen`,
+which is not imported here, so a serving process never loads it.
 """
 
-from repro.serve.fleet import (
-    FleetHarness,
-    FleetProfile,
-    run_fleet_benchmark,
-    summarize_fleet,
-)
-from repro.serve.loadgen import (
-    LoadProfile,
-    generate_requests,
-    run_benchmark,
-    run_service_load,
-    summarize,
-    write_report,
-)
 from repro.serve.protocol import (
     EstimateRequest,
     EstimateResponse,
@@ -34,43 +22,17 @@ from repro.serve.scheduler import (
 from repro.serve.service import InferenceService
 from repro.serve.session import SensorSession, SessionManager
 from repro.serve.shard import HashRing, ShardedInferenceService
-from repro.serve.telemetry import (
-    Counter,
-    Histogram,
-    MemorySink,
-    NullSink,
-    Span,
-    Telemetry,
-    TelemetrySink,
-)
 
 __all__ = [
     "BatchPolicy",
-    "Counter",
     "EstimateRequest",
     "EstimateResponse",
-    "FleetHarness",
-    "FleetProfile",
     "HashRing",
-    "Histogram",
     "InferenceService",
-    "LoadProfile",
-    "MemorySink",
     "MicroBatchScheduler",
-    "NullSink",
     "ScheduledEstimate",
     "SensorConfig",
     "SensorSession",
     "SessionManager",
     "ShardedInferenceService",
-    "Span",
-    "Telemetry",
-    "TelemetrySink",
-    "generate_requests",
-    "run_benchmark",
-    "run_fleet_benchmark",
-    "run_service_load",
-    "summarize",
-    "summarize_fleet",
-    "write_report",
 ]

@@ -1,32 +1,52 @@
-"""Synthetic multi-sensor load generation for the serve subsystem.
+"""Synthetic multi-sensor load: the one driver behind every serving bench.
 
-Drives :class:`InferenceService` with a reproducible fleet of sensor
-streams whose phases come from the calibrated model's own forward
-prediction (plus measurement noise), and reports what the north-star
-cares about: tail latency, throughput, mean micro-batch size, and the
-speedup over the serial one-request-at-a-time scalar baseline —
-together with an element-wise parity check against that baseline,
-since batching must never change the numbers.
+Drives the serve stack with a reproducible fleet of sensor streams
+whose phases come from the calibrated model's own forward prediction
+(plus measurement noise), through one of two transports that share a
+single contract, ``async (service, requests, offsets) -> (outcomes,
+client_latencies, wall)``:
 
-The same entry point backs ``python -m repro serve-bench`` and the CI
-benchmark smoke (``benchmarks/test_perf_serve.py``); both write the
-machine-readable report to ``benchmarks/results/BENCH_serve.json``.
+* ``"inprocess"`` (:func:`run_service_load`) awaits ``.estimate`` on
+  an :class:`InferenceService`, or on a
+  :class:`ShardedInferenceService` when ``LoadProfile.shards > 1``
+  (every shard on the one event loop);
+* ``"gateway"`` (:func:`run_gateway_load`) boots a loopback
+  :class:`repro.gateway.Gateway` around the service and opens one
+  authenticated WebSocket per sensor stream.
+
+Outcomes come back in request order, each an :class:`EstimateResponse`
+or the exception the request ended in (backpressure and quota replies
+are :class:`QueueFullError`, any other failure :class:`GatewayError`)
+— the survival taxonomy :mod:`repro.faults.chaos` counts with.
+
+:func:`run_benchmark` reports tail latency, throughput, mean
+micro-batch size, and the speedup over a reference run on the same
+tape, together with an element-wise parity check against it, since
+serving must never change the numbers.  The reference is the serial
+scalar ``invert`` loop for a plain in-process run, and the plain
+in-process service for a gateway or sharded run.  ``python -m repro
+bench`` and ``benchmarks/test_perf_{serve,gateway,fleet}.py`` write
+the report to ``benchmarks/results/BENCH_{serve,gateway,fleet}.json``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.calibration import SensorModel
 from repro.core.estimator import ESTIMATOR_BACKENDS
-from repro.errors import ServeError
+from repro.errors import GatewayError, QueueFullError, ServeError
+from repro.gateway.auth import Tenant, TenantTable
+from repro.gateway.client import WebSocketClient
+from repro.gateway.server import Gateway
 from repro.obs.manifest import stamp_report
 from repro.obs.profiler import Profiler
 from repro.obs.registry import observed
@@ -34,6 +54,14 @@ from repro.serve.protocol import EstimateRequest, EstimateResponse, SensorConfig
 from repro.serve.scheduler import BatchPolicy
 from repro.serve.service import InferenceService
 from repro.serve.session import ModelFactory
+from repro.serve.shard import ShardedInferenceService
+
+#: One request's fate: the response, or the exception it ended in.
+Outcome = Union[EstimateResponse, BaseException]
+
+#: Per-tenant quota on the gateway transport: effectively unlimited,
+#: so ``rejection_rate`` measures backpressure, not the limiter.
+TENANT_RATE_PER_S = 1e6
 
 
 @dataclass(frozen=True)
@@ -41,10 +69,10 @@ class LoadProfile:
     """One synthetic load shape.
 
     Attributes:
-        sensors: Concurrent sensor streams.
+        sensors: Concurrent sensor streams (one gateway connection
+            each on the gateway transport).
         requests_per_sensor: Samples per stream.
         max_batch / max_delay_s: Scheduler policy under test.
-        batching: ``False`` benches the degraded scalar-direct path.
         touch_fraction: Fraction of samples that carry a press (the
             rest are untouched, below-threshold phases).
         phase_noise_deg: Measurement noise on the synthetic phases.
@@ -61,17 +89,18 @@ class LoadProfile:
             fleet-scale pattern real sensor swarms produce, where long
             quiet stretches alternate with packed bursts.
         arrival_rate_rps: Mean aggregate arrival rate [req/s]; 0 (the
-            default) submits every request at once, the pre-existing
-            closed-loop behavior.
+            default) submits every request at once (closed loop).
         pareto_alpha: Tail exponent for ``"pareto"`` arrivals (must
             be > 1 so the mean gap is finite; smaller = burstier).
+        shards: Consistent-hash service shards; > 1 serves the load
+            from a :class:`ShardedInferenceService` on one event loop.
+        vnodes: Virtual nodes per shard on the hash ring.
     """
 
     sensors: int = 8
     requests_per_sensor: int = 64
     max_batch: int = 32
     max_delay_s: float = 0.002
-    batching: bool = True
     touch_fraction: float = 0.9
     phase_noise_deg: float = 1.0
     sample_period_s: float = 0.01
@@ -83,6 +112,8 @@ class LoadProfile:
     arrival: str = "uniform"
     arrival_rate_rps: float = 0.0
     pareto_alpha: float = 1.5
+    shards: int = 1
+    vnodes: int = 64
 
     def __post_init__(self) -> None:
         if self.sensors < 1 or self.requests_per_sensor < 1:
@@ -108,6 +139,9 @@ class LoadProfile:
             raise ServeError(
                 f"pareto_alpha must be > 1 (finite mean gap), got "
                 f"{self.pareto_alpha}")
+        if self.shards < 1:
+            raise ServeError(f"load profile needs >= 1 shard, got "
+                             f"{self.shards}")
 
     @property
     def total_requests(self) -> int:
@@ -121,6 +155,14 @@ class LoadProfile:
             carrier_frequency=self.carrier_frequency, fast=self.fast,
             touch_threshold_deg=self.touch_threshold_deg,
             backend=self.backend)
+
+    @property
+    def policy(self) -> BatchPolicy:
+        """The scheduler policy under test; the queue holds the whole
+        tape, so only injected faults ever shed."""
+        return BatchPolicy(max_batch=self.max_batch,
+                           max_delay_s=self.max_delay_s,
+                           max_queue=max(1024, self.total_requests))
 
 
 def generate_requests(model: SensorModel,
@@ -196,132 +238,327 @@ def generate_arrival_offsets(
     return offsets - offsets[0]
 
 
+async def _pace(start: float, offsets: Optional[np.ndarray],
+                index: int) -> None:
+    """Hold request ``index`` back until ``start + offsets[index]``."""
+    if offsets is not None:
+        delay = start + float(offsets[index]) - time.perf_counter()
+        if delay > 0.0:
+            await asyncio.sleep(delay)
+
+
 async def run_service_load(
-    service: InferenceService, requests: List[EstimateRequest],
+    service: Union[InferenceService, ShardedInferenceService],
+    requests: Sequence[EstimateRequest],
     offsets: Optional[np.ndarray] = None,
-) -> Tuple[List[EstimateResponse], float]:
-    """Fire every request; returns (responses, wall s).
+) -> Tuple[List[Outcome], List[float], float]:
+    """In-process transport; returns (outcomes, latencies s, wall s).
 
     Without ``offsets`` every request is submitted concurrently (the
     closed-loop saturation pattern); with them, request *i* is held
     back ``offsets[i]`` seconds first (open-loop arrival shaping —
-    see :func:`generate_arrival_offsets`).
+    see :func:`generate_arrival_offsets`).  A failed request yields
+    its exception instead of cancelling the rest of the load.
     """
+    latencies = [0.0] * len(requests)
     start = time.perf_counter()
-    if offsets is None:
-        responses = await service.estimate_many(requests)
-    else:
-        async def paced(request: EstimateRequest,
-                        delay: float) -> EstimateResponse:
-            if delay > 0.0:
-                await asyncio.sleep(delay)
-            return await service.estimate(request)
 
-        responses = list(await asyncio.gather(
-            *(paced(request, float(delay))
-              for request, delay in zip(requests, offsets))))
-    return responses, time.perf_counter() - start
+    async def one(index: int, request: EstimateRequest) -> Outcome:
+        await _pace(start, offsets, index)
+        sent = time.perf_counter()
+        try:
+            return await service.estimate(request)
+        except Exception as exc:  # noqa: BLE001 - per-request outcome
+            return exc
+        finally:
+            latencies[index] = time.perf_counter() - sent
+
+    outcomes = await asyncio.gather(
+        *(one(index, request) for index, request in enumerate(requests)))
+    return list(outcomes), latencies, time.perf_counter() - start
+
+
+def _gateway_outcome(message: dict) -> Outcome:
+    """Map one WebSocket reply onto the outcome taxonomy."""
+    if message.get("type") == "estimate":
+        return EstimateResponse.from_dict(message["response"])
+    code = message.get("code", "")
+    text = message.get("error", "gateway error")
+    if code in ("backpressure", "quota"):
+        return QueueFullError(text)
+    return GatewayError(f"{code}: {text}")
+
+
+async def run_gateway_load(
+    service: InferenceService,
+    requests: Sequence[EstimateRequest],
+    offsets: Optional[np.ndarray] = None,
+) -> Tuple[List[Outcome], List[float], float]:
+    """Gateway transport; returns (outcomes, latencies s, wall s).
+
+    Boots a :class:`Gateway` around ``service`` on an ephemeral
+    loopback port, registers one tenant per sensor stream, and opens
+    one WebSocket per stream.  Each connection pipelines its stream
+    (paced by ``offsets``) while a reader matches replies back by
+    sequence number; latencies are client-observed, send to reply.
+    A dropped connection fails every request it still owed with
+    :class:`GatewayError`.
+    """
+    streams: Dict[str, List[int]] = {}
+    for index, request in enumerate(requests):
+        streams.setdefault(request.sensor_id, []).append(index)
+    tenants = [Tenant(name=f"tenant-{number:03d}",
+                      token=f"bench-token-{number:03d}",
+                      rate_per_s=TENANT_RATE_PER_S, burst=1 << 16)
+               for number in range(len(streams))]
+    outcomes: List[Optional[Outcome]] = [None] * len(requests)
+    latencies = [0.0] * len(requests)
+    sent_at = [0.0] * len(requests)
+
+    async def drive(client: WebSocketClient, indices: List[int]) -> None:
+        by_sequence = {requests[index].sequence: index
+                       for index in indices}
+
+        async def send() -> None:
+            for index in indices:
+                await _pace(start, offsets, index)
+                sent_at[index] = time.perf_counter()
+                await client.send_json({"type": "estimate",
+                                        "request": requests[index].to_dict()})
+
+        sender = asyncio.ensure_future(send())
+        try:
+            replies = 0
+            while replies < len(indices):
+                message = await client.recv_json()
+                if message.get("type") == "touch_event":
+                    continue
+                replies += 1
+                sequence = (message["response"]["sequence"]
+                            if message.get("type") == "estimate"
+                            else message.get("sequence"))
+                index = by_sequence.get(sequence)
+                if index is not None:
+                    latencies[index] = time.perf_counter() - sent_at[index]
+                    outcomes[index] = _gateway_outcome(message)
+            await sender
+        except Exception as exc:  # noqa: BLE001 - dropped connection
+            sender.cancel()
+            await asyncio.gather(sender, return_exceptions=True)
+            for index in indices:
+                if outcomes[index] is None:
+                    outcomes[index] = GatewayError(
+                        f"connection lost: {exc!r}")
+
+    async with Gateway(service, tenants=TenantTable(tenants)) as gateway:
+        host, port = gateway.address
+        clients: List[WebSocketClient] = []
+        try:
+            for tenant in tenants:
+                clients.append(await WebSocketClient.connect(
+                    host, port, token=tenant.token))
+            start = time.perf_counter()
+            await asyncio.gather(*(drive(client, indices) for client, indices
+                                   in zip(clients, streams.values())))
+            wall = time.perf_counter() - start
+        finally:
+            await asyncio.gather(*(client.close() for client in clients))
+    return ([outcome if outcome is not None else GatewayError("no reply")
+             for outcome in outcomes], latencies, wall)
+
+
+#: Transport name -> driver, all sharing one contract.
+TRANSPORTS = {"inprocess": run_service_load, "gateway": run_gateway_load}
+
+#: Bench mode -> (run block, reference block, ratio key) in the report.
+_MODES = {
+    "serve": ("service", "serial_baseline", "speedup_vs_serial"),
+    "gateway": ("gateway", "inprocess_baseline", "gateway_vs_inprocess"),
+    "fleet": ("fleet", "inprocess_baseline", "sharded_vs_single"),
+}
+
+
+def bench_mode(transport: str, shards: int = 1) -> str:
+    """``"serve"`` | ``"gateway"`` | ``"fleet"``: names the report
+    (``BENCH_<mode>.json``) and picks its reference run."""
+    if transport == "gateway":
+        return "gateway"
+    return "fleet" if shards > 1 else "serve"
+
+
+def profile_block(profile: LoadProfile, transport: str) -> dict:
+    """The report's ``profile`` block (also its manifest config)."""
+    return {**dataclasses.asdict(profile), "transport": transport,
+            "total_requests": profile.total_requests}
+
+
+def _blocks(report: dict) -> Tuple[str, str, str]:
+    """(run block, reference block, ratio key) of a bench report."""
+    profile = report["profile"]
+    return _MODES[bench_mode(profile["transport"], profile["shards"])]
+
+
+def load_block(outcomes: Sequence[Outcome], latencies: Sequence[float],
+               wall_seconds: float) -> dict:
+    """Throughput, answered-request latency and batching of one run."""
+    answered = [(outcome, latency)
+                for outcome, latency in zip(outcomes, latencies)
+                if isinstance(outcome, EstimateResponse)]
+    latency_ms = np.array([latency for _, latency in answered] or [0.0]) * 1e3
+    batch_sizes = [outcome.batch_size for outcome, _ in answered] or [0]
+    total = len(outcomes)
+    rejected = total - len(answered)
+    return {
+        "wall_seconds": wall_seconds,
+        "throughput_rps": total / wall_seconds if wall_seconds > 0 else 0.0,
+        "p50_latency_ms": float(np.percentile(latency_ms, 50)),
+        "p99_latency_ms": float(np.percentile(latency_ms, 99)),
+        "mean_latency_ms": float(latency_ms.mean()),
+        "mean_batch_size": float(np.mean(batch_sizes)),
+        "max_batch_size": int(np.max(batch_sizes)),
+        "answered": len(answered),
+        "rejected": rejected,
+        "rejection_rate": rejected / total if total else 0.0,
+    }
+
+
+def parity_block(outcomes: Sequence[Outcome], expected: Sequence) -> dict:
+    """Element-wise deltas of every answered estimate vs the reference."""
+    pairs = [(outcome.estimate, reference)
+             for outcome, reference in zip(outcomes, expected)
+             if isinstance(outcome, EstimateResponse)]
+    return {
+        "compared": len(pairs),
+        "max_force_delta_n": max(
+            (abs(ours.force - theirs.force) for ours, theirs in pairs),
+            default=0.0),
+        "max_location_delta_m": max(
+            (abs(ours.location - theirs.location)
+             for ours, theirs in pairs), default=0.0),
+        "touched_match": all(ours.touched == theirs.touched
+                             for ours, theirs in pairs),
+    }
+
+
+def parity_ok(report: dict) -> bool:
+    """True when every answered request matched the reference exactly
+    and at least one was answered (no vacuous pass)."""
+    parity = report["parity"]
+    run_block = _blocks(report)[0]
+    return (parity["max_force_delta_n"] == 0.0
+            and parity["max_location_delta_m"] == 0.0
+            and parity["touched_match"]
+            and parity["compared"] == report[run_block]["answered"] > 0)
 
 
 def run_benchmark(profile: Optional[LoadProfile] = None,
+                  transport: str = "inprocess",
                   model_factory: Optional[ModelFactory] = None,
                   profiler: Optional[Profiler] = None) -> dict:
-    """Run the load against the service and the serial baseline.
+    """Drive the load through ``transport`` and against its reference.
 
-    Returns the JSON-ready report: latency percentiles, throughput,
-    mean batch size, serial-baseline comparison, parity deltas, the
-    service telemetry snapshot, and a run manifest (git SHA, config
-    hash, and the full shared-registry snapshot — the whole run
-    executes inside :func:`repro.obs.observed`, so estimator and
-    service instruments land in one registry).
+    Returns the JSON-ready report: the run block (latency percentiles,
+    throughput, batch sizes, rejections), the reference block, their
+    throughput ratio, parity deltas, the service telemetry snapshot,
+    and a run manifest.  A sharded run also reports per-shard p99 and
+    the ring's shard balance for this fleet.
 
     Args:
         profile: Load shape; paper-default when omitted.
+        transport: ``"inprocess"`` or ``"gateway"`` (one shard only).
         model_factory: Config -> model override for the session cache.
         profiler: Optional hotspot profiler; the bench stages
-            (calibrate / generate / serial baseline / service) are
-            recorded into it when given.
+            (calibrate / generate / reference / load) are recorded
+            into it when given.
     """
     if profile is None:
         profile = LoadProfile()
+    if transport not in TRANSPORTS:
+        raise ServeError(f"transport must be one of {sorted(TRANSPORTS)}, "
+                         f"got {transport!r}")
+    if transport == "gateway" and profile.shards > 1:
+        raise ServeError("the gateway transport serves one shard")
     if profiler is None:
         profiler = Profiler(enabled=False)
-    policy = BatchPolicy(
-        max_batch=profile.max_batch,
-        max_delay_s=profile.max_delay_s,
-        max_queue=max(1024, profile.total_requests),
-        enabled=profile.batching,
-    )
+    mode = bench_mode(transport, profile.shards)
+    run_name, reference_name, ratio_name = _MODES[mode]
+
+    # history=False: the bench never reads touch events, and
+    # per-session history would grow with the tape.
+    def plain_service(registry=None) -> InferenceService:
+        return InferenceService(policy=profile.policy,
+                                model_factory=model_factory,
+                                registry=registry, history=False)
+
     with observed() as registry:
-        service = InferenceService(policy=policy,
-                                   model_factory=model_factory,
-                                   registry=registry)
+        if mode == "fleet":
+            service = ShardedInferenceService(
+                shards=profile.shards, vnodes=profile.vnodes,
+                policy=profile.policy, model_factory=model_factory,
+                history=False)
+            shards = service.services
+        else:
+            service = plain_service(registry)
+            shards = [service]
         with profiler.section("calibrate"):
-            estimator = service.sessions.estimator(profile.config)
+            for shard in shards:
+                estimator = shard.sessions.estimator(profile.config)
         with profiler.section("generate_requests"):
             requests = generate_requests(estimator.model, profile)
             offsets = generate_arrival_offsets(profile)
 
-        # Serial baseline: one scalar inversion at a time, the
-        # pre-serve consumption pattern.
-        with profiler.section("serial_baseline"):
-            start = time.perf_counter()
-            serial = [estimator.invert(request.phi1, request.phi2)
-                      for request in requests]
-            serial_seconds = time.perf_counter() - start
+        with profiler.section("reference"):
+            if mode == "serve":
+                # The pre-serve consumption pattern: one scalar
+                # inversion at a time.
+                start = time.perf_counter()
+                expected = [estimator.invert(request.phi1, request.phi2)
+                            for request in requests]
+                reference_seconds = time.perf_counter() - start
+            else:
+                reference = plain_service()
+                reference.sessions.estimator(profile.config)
+                direct, _, reference_seconds = asyncio.run(
+                    run_service_load(reference, requests, offsets))
+                for outcome in direct:
+                    if isinstance(outcome, BaseException):
+                        raise outcome
+                expected = [response.estimate for response in direct]
 
-        with profiler.section("service_load"):
-            responses, service_seconds = asyncio.run(
-                run_service_load(service, requests, offsets))
+        with profiler.section("load"):
+            outcomes, latencies, seconds = asyncio.run(
+                TRANSPORTS[transport](service, requests, offsets))
 
-    force_delta = max(abs(response.estimate.force - expected.force)
-                      for response, expected in zip(responses, serial))
-    location_delta = max(abs(response.estimate.location - expected.location)
-                         for response, expected in zip(responses, serial))
-    touched_match = all(response.estimate.touched == expected.touched
-                        for response, expected in zip(responses, serial))
-
-    latencies = np.array([response.latency_s for response in responses])
-    batch_sizes = np.array([response.batch_size for response in responses])
-    total = len(requests)
-    profile_block = {
-        "sensors": profile.sensors,
-        "requests_per_sensor": profile.requests_per_sensor,
-        "total_requests": total,
-        "max_batch": profile.max_batch,
-        "max_delay_s": profile.max_delay_s,
-        "batching": profile.batching,
-        "seed": profile.seed,
-        "carrier_frequency": profile.carrier_frequency,
-        "backend": profile.backend,
-        "arrival": profile.arrival,
-        "arrival_rate_rps": profile.arrival_rate_rps,
-        "pareto_alpha": profile.pareto_alpha,
-    }
+    block = profile_block(profile, transport)
+    run = load_block(outcomes, latencies, seconds)
     report = {
-        "profile": profile_block,
-        "service": {
-            "wall_seconds": service_seconds,
-            "throughput_rps": total / service_seconds,
-            "latency_p50_s": float(np.percentile(latencies, 50)),
-            "latency_p99_s": float(np.percentile(latencies, 99)),
-            "latency_mean_s": float(latencies.mean()),
-            "mean_batch_size": float(batch_sizes.mean()),
-            "max_batch_size": int(batch_sizes.max()),
+        "profile": block,
+        run_name: run,
+        reference_name: {
+            "wall_seconds": reference_seconds,
+            "throughput_rps": len(requests) / reference_seconds,
         },
-        "serial_baseline": {
-            "wall_seconds": serial_seconds,
-            "throughput_rps": total / serial_seconds,
-        },
-        "speedup_vs_serial": serial_seconds / service_seconds,
-        "parity": {
-            "max_force_delta_n": float(force_delta),
-            "max_location_delta_m": float(location_delta),
-            "touched_match": bool(touched_match),
-        },
+        ratio_name: reference_seconds / seconds,
+        "parity": parity_block(outcomes, expected),
         "telemetry": service.telemetry_snapshot(),
     }
-    return stamp_report(report, config=profile_block, registry=registry)
+    if mode == "fleet":
+        shard_of = [service.shard_for(request.sensor_id)
+                    for request in requests]
+        run["per_shard"] = []
+        for shard in range(profile.shards):
+            mine = [index for index, owner in enumerate(shard_of)
+                    if owner == shard]
+            run["per_shard"].append({
+                "shard": shard, "requests": len(mine),
+                "p99_latency_ms": load_block(
+                    [outcomes[index] for index in mine],
+                    [latencies[index] for index in mine],
+                    seconds)["p99_latency_ms"],
+            })
+        report["shard_balance"] = service.ring.balance(
+            sorted({request.sensor_id for request in requests}))
+    return stamp_report(report, config=block, registry=registry)
 
 
 def write_report(report: dict, path) -> Path:
@@ -333,22 +570,35 @@ def write_report(report: dict, path) -> Path:
 
 
 def summarize(report: dict) -> str:
-    """Human-readable one-screen summary of a benchmark report."""
-    service = report["service"]
-    serial = report["serial_baseline"]
+    """Human-readable one-screen summary of a bench report."""
+    profile = report["profile"]
+    run_name, reference_name, ratio_name = _blocks(report)
+    run = report[run_name]
     parity = report["parity"]
     lines = [
-        f"requests          : {report['profile']['total_requests']} "
-        f"({report['profile']['sensors']} sensors x "
-        f"{report['profile']['requests_per_sensor']} samples)",
-        f"service throughput: {service['throughput_rps']:10.0f} req/s",
-        f"serial baseline   : {serial['throughput_rps']:10.0f} req/s",
-        f"speedup           : {report['speedup_vs_serial']:10.2f}x",
-        f"latency p50 / p99 : {service['latency_p50_s'] * 1e3:7.2f} / "
-        f"{service['latency_p99_s'] * 1e3:.2f} ms",
-        f"mean batch size   : {service['mean_batch_size']:10.1f}",
-        f"parity            : force <= {parity['max_force_delta_n']:.2e} N,"
-        f" location <= {parity['max_location_delta_m']:.2e} m, "
-        f"touched {'match' if parity['touched_match'] else 'MISMATCH'}",
+        f"requests          : {profile['total_requests']} "
+        f"({profile['sensors']} sensors x "
+        f"{profile['requests_per_sensor']} samples, "
+        f"{profile['arrival']} arrivals, {profile['transport']} "
+        f"transport, {profile['shards']} shard(s))",
+        f"throughput        : {run['throughput_rps']:10.0f} req/s",
+        f"reference         : "
+        f"{report[reference_name]['throughput_rps']:10.0f} req/s "
+        f"({reference_name})",
+        f"{ratio_name:<18}: {report[ratio_name]:10.2f}x",
+        f"latency p50 / p99 : {run['p50_latency_ms']:7.2f} / "
+        f"{run['p99_latency_ms']:.2f} ms",
+        f"mean batch size   : {run['mean_batch_size']:10.1f}",
+        f"rejected          : {run['rejected']:10d} "
+        f"({run['rejection_rate']:.3f})",
     ]
+    if "per_shard" in run:
+        lines.append("per-shard p99 [ms]: " + " ".join(
+            f"{entry['p99_latency_ms']:.1f}" for entry in run["per_shard"]))
+        lines.append(f"shard balance     : {report['shard_balance']:10.2f}")
+    lines.append(
+        f"parity            : {parity['compared']} compared, force <= "
+        f"{parity['max_force_delta_n']:.2e} N, location <= "
+        f"{parity['max_location_delta_m']:.2e} m, touched "
+        f"{'match' if parity['touched_match'] else 'MISMATCH'}")
     return "\n".join(lines)

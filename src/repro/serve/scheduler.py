@@ -45,7 +45,7 @@ from repro.faults.inject import FaultEvent, armed as fault_armed
 from repro.faults.retry import CircuitBreaker
 from repro.obs import trace
 from repro.obs.instruments import BATCH_BUCKETS
-from repro.obs.registry import Registry as Telemetry
+from repro.obs.registry import Registry
 
 logger = logging.getLogger(__name__)
 
@@ -147,10 +147,10 @@ class MicroBatchScheduler:
     """
 
     def __init__(self, policy: Optional[BatchPolicy] = None,
-                 telemetry: Optional[Telemetry] = None,
+                 telemetry: Optional[Registry] = None,
                  breaker: Optional[CircuitBreaker] = None):
         self.policy = policy if policy is not None else BatchPolicy()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.telemetry = telemetry if telemetry is not None else Registry()
         self.breaker = breaker if breaker is not None else CircuitBreaker(
             failure_threshold=5, recovery_timeout_s=1.0,
             name="serve.batch")

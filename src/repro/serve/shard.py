@@ -18,9 +18,9 @@ shard, preserving the per-session ordering the drift corrector needs.
 The ring uses virtual nodes so shard loads stay balanced (the classic
 consistent-hashing construction): each shard owns ``vnodes`` points on
 a 64-bit circle, a sensor maps to the first point clockwise of its own
-hash.  ``repro fleet-bench`` (see :mod:`repro.serve.fleet`) drives the
-sharded service with a threaded worker per shard and checks the
-bit-identical-to-single-shard contract under load.
+hash.  ``repro bench --shards N`` (see :mod:`repro.serve.loadgen`)
+drives the sharded service on one event loop and checks the
+bit-identical-to-one-service contract under load.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ class ShardedInferenceService:
 
     Every shard owns its own micro-batch scheduler, session table, and
     telemetry :class:`Registry` — nothing is shared across shards, so
-    they can be driven from separate threads or event loops without
-    coordination (what :class:`repro.serve.fleet.FleetHarness` does).
+    they need no coordination beyond the routing ring.
 
     Constructor arguments mirror :class:`InferenceService` and are
     applied to every shard.

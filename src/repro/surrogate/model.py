@@ -379,12 +379,8 @@ class SurrogateEstimator(ForceLocationEstimator):
     backend = "surrogate"
 
     def __init__(self, model: SensorModel, surrogate: SurrogateInverse,
-                 touch_threshold_deg: float = 5.0,
-                 force_resolution: float = 0.01,
-                 location_resolution: float = 0.05e-3):
-        super().__init__(model, touch_threshold_deg=touch_threshold_deg,
-                         force_resolution=force_resolution,
-                         location_resolution=location_resolution)
+                 touch_threshold_deg: float = 5.0):
+        super().__init__(model, touch_threshold_deg=touch_threshold_deg)
         self.surrogate = surrogate
 
     def _invert(self, phi1: float, phi2: float,
@@ -450,7 +446,7 @@ def build_surrogate_estimator(model: SensorModel,
                               carrier_frequency: Optional[float] = None,
                               fast: bool = True,
                               spec: Optional[DatasetSpec] = None,
-                              **estimator_options) -> SurrogateEstimator:
+                              ) -> SurrogateEstimator:
     """Train-or-load a surrogate and wrap it as an estimator.
 
     The estimator-backend registry's factory for
@@ -465,5 +461,4 @@ def build_surrogate_estimator(model: SensorModel,
         spec = DatasetSpec(carrier_frequency=carrier, fast=bool(fast))
     surrogate = train_surrogate(model, spec)
     return SurrogateEstimator(model, surrogate,
-                              touch_threshold_deg=touch_threshold_deg,
-                              **estimator_options)
+                              touch_threshold_deg=touch_threshold_deg)

@@ -141,3 +141,72 @@ class TestDemoCommand:
         output = capsys.readouterr().out
         assert "press 2.0 N" in output
         assert "read" in output
+
+
+class TestBenchCommand:
+    """``repro bench``: one command for every transport, one parity
+    check, exit 1 whenever parity fails."""
+
+    @pytest.fixture(scope="class")
+    def small_report(self, model_900):
+        from repro.serve.loadgen import LoadProfile, run_benchmark
+
+        return run_benchmark(LoadProfile(sensors=2, requests_per_sensor=4),
+                             model_factory=lambda config: model_900)
+
+    def _run_with(self, monkeypatch, tmp_path, report):
+        import repro.serve.loadgen as loadgen
+
+        monkeypatch.setattr(loadgen, "run_benchmark",
+                            lambda profile, **kwargs: report)
+        return main(["bench", "--output", str(tmp_path / "b.json")])
+
+    def test_defaults(self):
+        args = build_parser().parse_args(["bench"])
+        assert args.transport == "inprocess"
+        assert args.shards == 1
+        assert args.output == ""
+
+    def test_rejects_unknown_transport(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--transport", "carrier"])
+
+    def test_exact_parity_exits_zero(self, monkeypatch, tmp_path,
+                                     small_report, capsys):
+        assert small_report["parity"]["compared"] == 8
+        assert self._run_with(monkeypatch, tmp_path, small_report) == 0
+        written = json.loads((tmp_path / "b.json").read_text())
+        assert written["parity"] == small_report["parity"]
+        assert "speedup_vs_serial" in capsys.readouterr().out
+
+    def test_location_only_delta_exits_one(self, monkeypatch, tmp_path,
+                                           small_report, capsys):
+        report = json.loads(json.dumps(small_report))
+        report["parity"]["max_location_delta_m"] = 1e-12
+        assert self._run_with(monkeypatch, tmp_path, report) == 1
+        capsys.readouterr()
+
+    def test_nothing_compared_exits_one(self, monkeypatch, tmp_path,
+                                        small_report, capsys):
+        report = json.loads(json.dumps(small_report))
+        report["parity"]["compared"] = 0
+        report["service"]["answered"] = 0
+        assert self._run_with(monkeypatch, tmp_path, report) == 1
+        capsys.readouterr()
+
+    def test_default_output_follows_transport_and_shards(
+            self, monkeypatch, tmp_path, small_report, capsys):
+        import repro.serve.loadgen as loadgen
+
+        written = []
+        monkeypatch.setattr(loadgen, "run_benchmark",
+                            lambda profile, **kwargs: small_report)
+        monkeypatch.setattr(loadgen, "write_report",
+                            lambda report, path: written.append(path) or path)
+        assert main(["bench"]) == 0
+        assert main(["bench", "--shards", "2"]) == 0
+        assert main(["bench", "--transport", "gateway"]) == 0
+        assert written == ["benchmarks/results/BENCH_serve.json",
+                           "benchmarks/results/BENCH_fleet.json",
+                           "benchmarks/results/BENCH_gateway.json"]
+        capsys.readouterr()

@@ -12,19 +12,18 @@ from pathlib import Path
 
 import pytest
 
-_SCRIPT = (Path(__file__).parent.parent / "benchmarks"
-           / "compare_bench.py")
+_BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
+_SCRIPT = _BENCHMARKS / "compare_bench.py"
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("compare_bench",
-                                                  _SCRIPT)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-compare_bench = _load()
+compare_bench = _load("compare_bench", _SCRIPT)
 
 ESTIMATOR_BASELINE = {
     "n_samples": 1000,
@@ -174,6 +173,46 @@ class TestCompare:
                                             ESTIMATOR_BASELINE)
         assert failures == ["baseline report carries no tracked metrics"]
 
+    def test_metric_missing_from_baseline_fails(self):
+        """A kind the fresh report carries needs its metrics in the
+        baseline too — a regenerated baseline cannot drop a gate."""
+        fresh = dict(ESTIMATOR_BASELINE,
+                     campaign={"parallel_speedup": 3.5,
+                               "cold_speedup": 3.0})
+        _, failures = compare_bench.compare(ESTIMATOR_BASELINE, fresh)
+        assert sorted(failures) == [
+            "metric campaign_cold_speedup missing from baseline",
+            "metric campaign_parallel_speedup missing from baseline"]
+        dropped = {key: value for key, value in fresh.items()
+                   if key != "batch_speedup"}
+        _, failures = compare_bench.compare(dropped, fresh)
+        assert failures == ["metric batch_speedup missing from baseline"]
+
+    def test_metric_missing_from_fresh_fails(self):
+        baseline = dict(ESTIMATOR_BASELINE,
+                        campaign={"parallel_speedup": 3.5,
+                                  "cold_speedup": 3.0})
+        fresh = dict(ESTIMATOR_BASELINE,
+                     campaign={"parallel_speedup": 3.5})
+        _, failures = compare_bench.compare(baseline, fresh)
+        assert failures == [
+            "metric campaign_cold_speedup missing from fresh report"]
+
+    def test_hard_gate_fails_at_any_threshold(self):
+        baseline = {"sharded_vs_single": 1.0, "shard_balance": 0.7,
+                    "parity": {"max_force_delta_n": 0.0,
+                               "max_location_delta_m": 0.0,
+                               "touched_match": True, "compared": 8}}
+        fresh = json.loads(json.dumps(baseline))
+        fresh["parity"]["max_location_delta_m"] = 1e-12
+        _, failures = compare_bench.compare(baseline, fresh,
+                                            max_regression=0.99)
+        assert len(failures) == 1
+        assert "fleet_parity_ok" in failures[0]
+        fresh["parity"] = dict(baseline["parity"], compared=0)
+        _, failures = compare_bench.compare(baseline, fresh)
+        assert "fleet_parity_ok" in failures[0]
+
     def test_non_positive_baseline_skipped(self):
         baseline = {"batch_speedup": 0.0}
         lines, failures = compare_bench.compare(
@@ -229,12 +268,20 @@ class TestMain:
                                 "--max-regression", "1.5"])
 
     def test_gates_committed_baselines(self, capsys):
-        """The committed BENCH_*.json files pass against themselves."""
-        results = _SCRIPT.parent / "results"
-        for name in ("BENCH_estimator.json", "BENCH_serve.json",
-                     "BENCH_cache.json", "BENCH_chaos.json",
-                     "BENCH_reader.json", "BENCH_gateway.json"):
-            path = results / name
+        """Every committed BENCH_*.json passes against itself."""
+        paths = sorted((_BENCHMARKS / "results").glob("BENCH_*.json"))
+        assert len(paths) >= 9
+        for path in paths:
             assert compare_bench.main(["--baseline", str(path),
-                                       "--fresh", str(path)]) == 0
+                                       "--fresh", str(path)]) == 0, path
         capsys.readouterr()
+
+
+class TestMergeReport:
+    def test_partial_report_keeps_the_other_keys(self, tmp_path):
+        conftest = _load("bench_conftest", _BENCHMARKS / "conftest.py")
+        path = tmp_path / "BENCH_x.json"
+        conftest.merge_report(path, {"a": 1, "b": {"c": 2}, "d": 3})
+        merged = conftest.merge_report(path, {"b": {"e": 4}})
+        assert merged == {"a": 1, "b": {"e": 4}, "d": 3}
+        assert json.loads(path.read_text()) == merged

@@ -35,10 +35,9 @@ from repro.serve import (
     BatchPolicy,
     EstimateRequest,
     InferenceService,
-    LoadProfile,
     SensorConfig,
-    generate_requests,
 )
+from repro.serve.loadgen import LoadProfile, generate_requests
 
 #: Concurrent tenants for the e2e stream test (acceptance bar: >= 8).
 N_TENANTS = 8

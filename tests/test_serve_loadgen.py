@@ -1,9 +1,11 @@
-"""Load-generation shapes: arrival patterns and pacing.
+"""Load generation: arrival patterns, pacing and the two transports.
 
 The heavy-tailed arrival option must change *when* requests are
 submitted, never *what* is requested — the request list is seeded
 independently of the gap draws — and the Pareto gaps must keep the
-configured mean rate while being visibly burstier than uniform.
+configured mean rate while being visibly burstier than uniform.  Both
+transports return outcomes in request order and map failures onto
+the survival taxonomy instead of aborting the load.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.errors import ServeError
-from repro.serve import (
-    EstimateRequest,
-    InferenceService,
+from repro.errors import GatewayError, QueueFullError, ServeError
+from repro.serve import EstimateRequest, InferenceService, SensorConfig
+from repro.serve.loadgen import (
     LoadProfile,
-    SensorConfig,
+    generate_arrival_offsets,
     generate_requests,
+    run_benchmark,
+    run_gateway_load,
     run_service_load,
 )
-from repro.serve.loadgen import generate_arrival_offsets
 
 
 class TestArrivalOffsets:
@@ -100,8 +102,66 @@ class TestPacedServiceLoad:
             for index in range(6)
         ]
         offsets = np.linspace(0.0, 5e-3, len(requests))
-        responses, wall = asyncio.run(
+        responses, latencies, wall = asyncio.run(
             run_service_load(service, requests, offsets))
         assert [r.sequence for r in responses] == list(range(6))
         assert all(r.quality == "ok" for r in responses)
         assert wall >= 5e-3
+        assert all(0.0 < latency <= wall for latency in latencies)
+
+
+class TestTransports:
+    @pytest.fixture(scope="class")
+    def tape(self, model_900):
+        return generate_requests(
+            model_900, LoadProfile(sensors=3, requests_per_sensor=4))
+
+    def test_gateway_matches_inprocess_in_request_order(self, model_900,
+                                                        tape):
+        def service():
+            return InferenceService(model_factory=lambda config: model_900)
+
+        direct, _, _ = asyncio.run(run_service_load(service(), tape))
+        wired, latencies, wall = asyncio.run(
+            run_gateway_load(service(), tape))
+        assert [(r.sensor_id, r.sequence) for r in wired] == \
+            [(r.sensor_id, r.sequence) for r in tape]
+        for ours, theirs in zip(wired, direct):
+            assert ours.estimate.force == theirs.estimate.force
+            assert ours.estimate.location == theirs.estimate.location
+            assert ours.estimate.touched == theirs.estimate.touched
+        assert all(0.0 < latency <= wall for latency in latencies)
+
+    @pytest.mark.parametrize("transport", ["inprocess", "gateway"])
+    def test_failures_map_to_the_survival_taxonomy(self, model_900, tape,
+                                                   transport):
+        """Shed requests are QueueFullError, other failures are their
+        exception in-process and GatewayError through the gateway."""
+        from repro.serve.loadgen import TRANSPORTS
+
+        class Failing(InferenceService):
+            async def estimate(self, request):
+                if request.sensor_id == "sensor-000":
+                    raise QueueFullError("shed")
+                if request.sensor_id == "sensor-001":
+                    raise RuntimeError("boom")
+                return await super().estimate(request)
+
+        service = Failing(model_factory=lambda config: model_900)
+        outcomes, _, _ = asyncio.run(TRANSPORTS[transport](service, tape))
+        crash = RuntimeError if transport == "inprocess" else GatewayError
+        for request, outcome in zip(tape, outcomes):
+            if request.sensor_id == "sensor-000":
+                assert isinstance(outcome, QueueFullError)
+            elif request.sensor_id == "sensor-001":
+                assert isinstance(outcome, crash)
+            else:
+                assert outcome.sequence == request.sequence
+
+    def test_transport_validation(self):
+        with pytest.raises(ServeError):
+            run_benchmark(LoadProfile(), transport="carrier-pigeon")
+        with pytest.raises(ServeError):
+            run_benchmark(LoadProfile(shards=2), transport="gateway")
+        with pytest.raises(ServeError):
+            LoadProfile(shards=0)

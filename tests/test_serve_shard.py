@@ -6,8 +6,8 @@ on every machine — and a sharded fleet returns **bit-identical**
 responses to a single service for the same request tape, because
 routing only decides where a sensor's session lives.  Also covered:
 per-shard session placement, fleet-wide telemetry aggregation with no
-counts lost, and the threaded per-shard harness from
-:mod:`repro.serve.fleet`.
+counts lost, and the bench's in-process transport driving every shard
+on one event loop.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ import asyncio
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import (
-    FleetHarness,
-    HashRing,
-    InferenceService,
+from repro.serve import HashRing, InferenceService, ShardedInferenceService
+from repro.serve.loadgen import (
     LoadProfile,
-    ShardedInferenceService,
     generate_requests,
+    run_service_load,
 )
 
 
@@ -128,29 +126,22 @@ class TestShardedService:
         assert response["sensor_id"] == tape[0].sensor_id
 
 
-class TestFleetHarness:
-    def test_threaded_fleet_matches_single_shard(self, tape):
+class TestShardedTransport:
+    def test_sharded_transport_matches_single_service(self, tape):
         fleet = ShardedInferenceService(shards=3)
-        with FleetHarness(fleet) as harness:
-            responses, wall, shard_of = harness.run(list(tape))
-        reference = ShardedInferenceService(shards=1)
-        with FleetHarness(reference) as harness:
-            single, _, _ = harness.run(list(tape))
+        responses, latencies, wall = asyncio.run(
+            run_service_load(fleet, list(tape)))
+        single, _, _ = asyncio.run(
+            run_service_load(InferenceService(), list(tape)))
         assert wall > 0.0
-        assert len(responses) == len(tape)
-        for ours, theirs in zip(responses, single):
+        assert len(responses) == len(latencies) == len(tape)
+        for ours, theirs, request in zip(responses, single, tape):
+            assert ours.sensor_id == request.sensor_id
+            assert ours.sequence == request.sequence
             assert ours.estimate.force == theirs.estimate.force
             assert ours.estimate.location == theirs.estimate.location
             assert ours.estimate.touched == theirs.estimate.touched
-        ring = fleet.ring
-        assert shard_of == [ring.shard_for(request.sensor_id)
-                            for request in tape]
-
-    def test_harness_stop_is_idempotent(self, tape):
-        fleet = ShardedInferenceService(shards=2)
-        harness = FleetHarness(fleet)
-        with harness:
-            harness.run(list(tape[:8]))
-        harness.stop()
-        assert all(not worker.thread.is_alive()
-                   for worker in harness.workers)
+        counts = [shard.telemetry_snapshot()["counters"]["serve.responses"]
+                  for shard in fleet.services]
+        assert counts == fleet.ring.distribution(
+            [request.sensor_id for request in tape])
