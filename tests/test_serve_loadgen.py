@@ -158,6 +158,28 @@ class TestTransports:
             else:
                 assert outcome.sequence == request.sequence
 
+    def test_failed_connect_fails_its_stream_only(self, model_900, tape,
+                                                  monkeypatch):
+        """A stream whose handshake fails owes GatewayError for every
+        request; the other streams are still served."""
+        from repro.gateway.client import WebSocketClient
+
+        connect = WebSocketClient.connect
+
+        async def flaky(host, port, token=None, **kwargs):
+            if token == "bench-token-001":
+                raise ConnectionRefusedError("refused")
+            return await connect(host, port, token=token, **kwargs)
+
+        monkeypatch.setattr(WebSocketClient, "connect", flaky)
+        service = InferenceService(model_factory=lambda config: model_900)
+        outcomes, _, _ = asyncio.run(run_gateway_load(service, tape))
+        for request, outcome in zip(tape, outcomes):
+            if request.sensor_id == "sensor-001":
+                assert isinstance(outcome, GatewayError)
+            else:
+                assert outcome.sequence == request.sequence
+
     def test_transport_validation(self):
         with pytest.raises(ServeError):
             run_benchmark(LoadProfile(), transport="carrier-pigeon")
