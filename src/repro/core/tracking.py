@@ -255,14 +255,19 @@ class StreamingTracker:
                 current.append(sample)
             elif current is not None:
                 if len(current) >= min_groups:
-                    events.append(StreamingTracker._event_from(current))
+                    events.append(StreamingTracker.event_from(current))
                 current = None
         if current is not None and len(current) >= min_groups:
-            events.append(StreamingTracker._event_from(current))
+            events.append(StreamingTracker.event_from(current))
         return events
 
     @staticmethod
-    def _event_from(samples: List[TrackedSample]) -> TouchEvent:
+    def event_from(samples: List[TrackedSample]) -> TouchEvent:
+        """Summarize one contact segment (a run of touched samples).
+
+        The release is the segment's last touched sample; the mean
+        location is force-weighted (plain mean when every force is 0).
+        """
         if not samples:
             raise EstimationError("cannot build a touch event from an "
                                   "empty contact segment")

@@ -27,11 +27,14 @@ input path raises anything else — the fuzz suite
 and asserts the connection is the only casualty.
 
 Touch-event streaming contract: an event is pushed once it is
-*closed* — the sensor's latest served sample is untouched, so the
-event's onset/release/peak are final.  A still-open press is withheld
-until the release sample arrives, which makes the pushed stream
-bit-identical to a post-hoc ``touch_events`` query over the same
-samples.
+*closed* — an untouched sample has ended the press, so its
+onset/release/peak are final.  Pushes are read from the session's
+closed-segment log (:meth:`SensorSession.closed_events`), and each
+event's ``index`` is its position in a post-hoc ``touch_events``
+query over the same samples, which the pushed stream equals
+bit-for-bit minus the still-open press.  When the sensor's session is
+evicted and reopened, the subscription follows the new session and
+its indices restart at 0.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core.tracking import TouchEvent
 from repro.errors import (
     AuthError,
     ProtocolError,
@@ -56,6 +61,7 @@ from repro.obs.recorder import flight_recorder
 from repro.obs.slo import SloMonitor, default_slos
 from repro.serve.protocol import EstimateRequest
 from repro.serve.service import InferenceService
+from repro.serve.session import SensorSession
 
 logger = logging.getLogger(__name__)
 
@@ -66,12 +72,58 @@ _WS_CHUNK = 1 << 16
 _DRAIN_TIMEOUT_S = 5.0
 
 
+def _parse_min_groups(value: Any, query: bool = False) -> int:
+    """Validate a ``min_groups`` value: an integer >= 1.
+
+    With ``query``, a string of ASCII digits (a query-string value)
+    counts as its integer.  Anything else, bools included, raises
+    :class:`ProtocolError`.
+    """
+    if query and isinstance(value, str) and value.isascii() \
+            and value.isdigit():
+        try:
+            value = int(value)
+        except ValueError:  # past the int-from-string digit limit
+            pass
+    if type(value) is not int or value < 1:
+        raise ProtocolError("min_groups must be an integer >= 1")
+    return value
+
+
 @dataclass
 class _Subscription:
-    """One sensor subscription on one connection."""
+    """One sensor subscription on one connection: a cursor into the
+    closed-segment log of the session it last read."""
 
     min_groups: int = 1
+    session: Optional["weakref.ref[SensorSession]"] = None
+    cursor: int = 0
     emitted: int = 0
+
+    def _reads(self, session: SensorSession) -> bool:
+        return self.session is not None and self.session() is session
+
+    def pending(self, session: SensorSession) -> bool:
+        """Whether ``session`` may hold events not yet taken."""
+        return (not self._reads(session)
+                or self.cursor < len(session.segments))
+
+    def take(self, session: SensorSession
+             ) -> Tuple[int, List[TouchEvent]]:
+        """The index of the first new event and the new events.
+
+        A session other than the one last read (the sensor's session
+        was evicted and reopened) restarts the cursor and indices.
+        """
+        if not self._reads(session):
+            self.session = weakref.ref(session)
+            self.cursor = self.emitted = 0
+        events = session.closed_events(self.min_groups,
+                                       start=self.cursor)
+        self.cursor = len(session.segments)
+        base = self.emitted
+        self.emitted += len(events)
+        return base, events
 
 
 class _WsConnection:
@@ -402,14 +454,12 @@ class Gateway:
                               context, close=wants_close)
                 return
             try:
-                min_groups = int(request.query.get(
-                    "min_groups", self.touch_min_groups))
+                min_groups = _parse_min_groups(request.query.get(
+                    "min_groups", self.touch_min_groups), query=True)
                 events = self.service.touch_events(
                     sensor_id, min_groups=min_groups)
-            except ValueError:
-                self._respond(writer, 400,
-                              {"error": "min_groups must be an "
-                                        "integer"},
+            except ProtocolError as exc:
+                self._respond(writer, 400, {"error": str(exc)},
                               context, close=wants_close)
                 return
             except ServeError as exc:
@@ -660,9 +710,13 @@ class Gateway:
     async def _serve_subscribe(self, conn: _WsConnection,
                                message: dict) -> None:
         sensor_id = message.get("sensor_id")
-        min_groups = message.get("min_groups", self.touch_min_groups)
+        try:
+            min_groups = _parse_min_groups(
+                message.get("min_groups", self.touch_min_groups))
+        except ProtocolError:
+            min_groups = None
         if not isinstance(sensor_id, str) or not sensor_id \
-                or not isinstance(min_groups, int) or min_groups < 1:
+                or min_groups is None:
             self._count("gateway.protocol_errors")
             await conn.send_json({
                 "type": "error", "code": "protocol",
@@ -700,21 +754,21 @@ class Gateway:
         targets = [only] if only is not None else list(conns)
         for conn in targets:
             subscription = conn.subscriptions.get(sensor_id)
-            if subscription is None or conn.closed:
+            if subscription is None or conn.closed \
+                    or not subscription.pending(session):
                 continue
             async with conn.lock:
-                # Compute + send under the write lock so concurrent
+                # Take + send under the write lock so concurrent
                 # estimates for the same sensor cannot interleave
-                # event pushes out of order on one connection.
-                events = session.touch_events(
-                    min_groups=subscription.min_groups)
-                if session.samples and session.samples[-1].touched:
-                    events = events[:-1]  # last press still open
-                fresh = events[subscription.emitted:]
+                # event pushes out of order on one connection.  The
+                # session is looked up again: it may have been
+                # replaced while this push waited for the lock.
+                session = self.service.sessions.get(sensor_id)
+                if session is None:
+                    return
+                base, fresh = subscription.take(session)
                 if not fresh:
                     continue
-                base = subscription.emitted
-                subscription.emitted = len(events)
                 for index, event in enumerate(fresh):
                     if conn.closed:
                         break

@@ -14,7 +14,10 @@ stream between requests:
   :meth:`repro.core.pipeline.WiForceReader.capture_baseline`), which
   is then subtracted from every later sample;
 * the tracked history, from which touch events are segmented by
-  :meth:`repro.core.tracking.StreamingTracker.touch_events`.
+  :meth:`repro.core.tracking.StreamingTracker.touch_events`, and an
+  incremental log of its closed contact segments, so streaming
+  consumers read new presses in O(new events) rather than
+  re-segmenting the whole history.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ class SensorSession:
         baseline_samples: Untouched warmup samples used to fit the
             phase reference and drift; 0 disables correction (the
             stream's phases are already baseline-referenced).
-        history: Keep every tracked sample for touch-event queries.
+        history: Keep every tracked sample for touch-event queries
+            (and the closed-segment log; without history, neither).
         quarantine_after: Consecutive non-``"ok"`` results that
             quarantine the session: its baseline/drift state is
             discarded and re-warmed from scratch, on the theory that a
@@ -87,6 +91,12 @@ class SensorSession:
         self.keep_history = bool(history)
         self.quarantine_after = int(quarantine_after)
         self.samples: List[TrackedSample] = []
+        #: Closed contact segments as ``(start, stop)`` spans into
+        #: ``samples``, in order; the open run is not logged until an
+        #: untouched sample closes it.
+        self.segments: List[Tuple[int, int]] = []
+        self._open: Optional[int] = None
+        self._summaries: Dict[int, TouchEvent] = {}
         self.last_seen = 0.0
         self.request_count = 0
         self.consecutive_faults = 0
@@ -186,12 +196,47 @@ class SensorSession:
             obs.counter("fault.quarantines").increment()
 
     def record(self, sample: TrackedSample) -> None:
-        """Append one tracked sample to the session history."""
-        if self.keep_history:
-            self.samples.append(sample)
+        """Append one tracked sample to the session history.
+
+        An untouched sample that ends a touched run logs the run as a
+        closed segment.
+        """
+        if not self.keep_history:
+            return
+        if sample.touched:
+            if self._open is None:
+                self._open = len(self.samples)
+        elif self._open is not None:
+            self.segments.append((self._open, len(self.samples)))
+            self._open = None
+        self.samples.append(sample)
+
+    def closed_events(self, min_groups: int = 1,
+                      start: int = 0) -> List[TouchEvent]:
+        """Events of the logged segments from index ``start`` on.
+
+        Segments shorter than ``min_groups`` groups are skipped.  Each
+        segment is summarized on its first read and the summary kept,
+        so a segment costs one summary however often it is read.
+        """
+        events = []
+        for index in range(start, len(self.segments)):
+            first, stop = self.segments[index]
+            if stop - first < min_groups:
+                continue
+            event = self._summaries.get(index)
+            if event is None:
+                event = StreamingTracker.event_from(self.samples[first:stop])
+                self._summaries[index] = event
+            events.append(event)
+        return events
 
     def touch_events(self, min_groups: int = 1) -> List[TouchEvent]:
-        """Segment the session history into touch events."""
+        """Segment the whole session history into touch events.
+
+        The post-hoc reference: it re-scans every sample and includes
+        a still-open press, where :meth:`closed_events` reads the log.
+        """
         return StreamingTracker.touch_events(self.samples,
                                              min_groups=min_groups)
 

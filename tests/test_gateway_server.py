@@ -17,8 +17,10 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
+from repro.core.tracking import StreamingTracker
 from repro.errors import ProtocolError
 from repro.faults.retry import RetryPolicy
 from repro.gateway import (
@@ -225,6 +227,212 @@ class TestStreamingParity:
                     token="token-0")
 
         assert asyncio.run(scenario()).status == 404
+
+
+#: One press of two touched groups, closed by an untouched one.
+_PRESS = [(0.5, 0.4), (0.6, 0.5), (0.0, 0.0)]
+
+
+async def _subscribe(client, sensor_id, **fields):
+    await client.send_json(dict(type="subscribe", sensor_id=sensor_id,
+                                **fields))
+    return await client.recv_json()
+
+
+async def _barrier(client):
+    """Ping and collect every message that arrives before the pong."""
+    await client.send_json({"type": "ping"})
+    seen = []
+    while True:
+        message = await client.recv_json(timeout=30.0)
+        if message["type"] == "pong":
+            return seen
+        seen.append(message)
+
+
+async def _stream(client, sensor_id, pattern, first=0):
+    """Estimates for ``pattern`` (phase pairs) one at a time; returns
+    the touch events pushed up to a barrier after the last reply."""
+    pushed = []
+    for offset, (phi1, phi2) in enumerate(pattern):
+        _, events = await estimate_over_ws(client, _request(
+            sensor_id, first + offset, phi1, phi2).to_dict())
+        pushed += events
+    return pushed + await _barrier(client)
+
+
+class TestTouchEventLog:
+    """Pushes come from the session's closed-segment log."""
+
+    def test_reopened_session_restarts_indices(self, model_900):
+        async def scenario():
+            gateway = Gateway(_service(model_900, max_sessions=1),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                assert (await _subscribe(client, "a"))["type"] \
+                    == "subscribed"
+                before = await _stream(client, "a", _PRESS)
+                await _stream(client, "b", _PRESS)  # evicts a
+                assert gateway.service.sessions.get("a") is None
+                after = await _stream(client, "a", _PRESS + _PRESS,
+                                      first=len(_PRESS))
+                await client.close()
+                queried = await http_request(
+                    host, port, "GET", "/v1/touch_events?sensor_id=a",
+                    token="token-0")
+                return before, after, queried.json()["events"]
+
+        before, after, queried = asyncio.run(scenario())
+        assert [push["index"] for push in before] == [0]
+        assert [push["index"] for push in after] == [0, 1]
+        assert [push["event"] for push in after] == queried
+
+    def test_late_subscribe_mid_press_catches_up(self, model_900):
+        # A closed two-group press, then a one-group press still open:
+        # the closed one is pushed at once, not held until the open
+        # one ends.
+        pattern = _PRESS + [(0.5, 0.4)]
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                await _stream(client, "s", pattern)
+                assert (await _subscribe(client, "s", min_groups=2))[
+                    "type"] == "subscribed"
+                catchup = await _barrier(client)
+                await client.close()
+                queried = await http_request(
+                    host, port, "GET",
+                    "/v1/touch_events?sensor_id=s&min_groups=2",
+                    token="token-0")
+                return catchup, queried.json()["events"]
+
+        catchup, queried = asyncio.run(scenario())
+        assert [push["index"] for push in catchup] == [0]
+        assert [push["event"] for push in catchup] == queried
+
+    def test_min_groups_is_validated_alike_on_both_paths(self,
+                                                         model_900):
+        queries = ("0", "-3", "abc", "1.5", "true", "", "2")
+        messages = (0, -3, True, False, "2", 1.5, None, 2)
+
+        async def scenario():
+            gateway = Gateway(_service(model_900),
+                              tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                await _stream(client, "s", _PRESS)
+                statuses = []
+                for raw in queries:
+                    response = await http_request(
+                        host, port, "GET",
+                        f"/v1/touch_events?sensor_id=s&min_groups={raw}",
+                        token="token-0")
+                    statuses.append(response.status)
+                replies = []
+                for value in messages:
+                    replies.append(await _subscribe(client, "s",
+                                                    min_groups=value))
+                    replies += await _barrier(client)
+                await client.close()
+                return statuses, replies, gateway.telemetry.snapshot()
+
+        statuses, replies, snapshot = asyncio.run(scenario())
+        assert statuses == [400] * 6 + [200]
+        assert [(reply["type"], reply.get("code")) for reply in replies] \
+            == [("error", "protocol")] * 7 + [("subscribed", None),
+                                              ("touch_event", None)]
+        assert "gateway.internal_errors" not in snapshot["counters"]
+
+    def test_long_stream_pushes_from_the_log(self, model_900,
+                                             monkeypatch):
+        """10,000 samples: exactly the closed events are pushed, the
+        whole history is never re-segmented, each closed segment is
+        summarized once, and an unsubscribed session summarizes
+        nothing."""
+        calls = {"touch_events": 0, "event_from": 0}
+        segment = StreamingTracker.touch_events
+        summarize = StreamingTracker.event_from
+
+        def counting_touch_events(samples, min_groups=1):
+            calls["touch_events"] += 1
+            return segment(samples, min_groups=min_groups)
+
+        def counting_event_from(samples):
+            calls["event_from"] += 1
+            return summarize(samples)
+
+        monkeypatch.setattr(StreamingTracker, "touch_events",
+                            staticmethod(counting_touch_events))
+        monkeypatch.setattr(StreamingTracker, "event_from",
+                            staticmethod(counting_event_from))
+        rng = np.random.default_rng(7)
+        pattern = []
+        while len(pattern) < 10_000:
+            pattern += [(0.0, 0.0)] * int(rng.integers(1, 5))
+            pattern += [(float(rng.uniform(0.3, 0.7)),
+                         float(rng.uniform(0.2, 0.6)))] \
+                * int(rng.integers(1, 7))
+        pattern = pattern[:10_000]
+        window = 64
+
+        async def pipelined(client, sensor_id, phases):
+            """Send in windows, collecting pushes until every reply
+            of the window has arrived."""
+            pushed = []
+            for first in range(0, len(phases), window):
+                chunk = phases[first:first + window]
+                for offset, (phi1, phi2) in enumerate(chunk):
+                    await client.send_json({
+                        "type": "estimate",
+                        "request": _request(sensor_id, first + offset,
+                                            phi1, phi2).to_dict()})
+                replies = 0
+                while replies < len(chunk):
+                    message = await client.recv_json(timeout=30.0)
+                    if message["type"] == "touch_event":
+                        pushed.append(message)
+                    else:
+                        assert message["type"] == "estimate"
+                        replies += 1
+            return pushed + await _barrier(client)
+
+        async def scenario():
+            service = _service(model_900, policy=BatchPolicy(
+                max_batch=64, max_delay_s=0.001))
+            gateway = Gateway(service, tenants=TenantTable(_tenants(1)))
+            async with gateway:
+                host, port = gateway.address
+                client = await WebSocketClient.connect(
+                    host, port, token="token-0")
+                assert (await _subscribe(client, "s"))["type"] \
+                    == "subscribed"
+                pushed = await pipelined(client, "s", pattern)
+                await pipelined(client, "quiet", pattern[:500])
+                await client.close()
+                return pushed, service.sessions.get("s"), \
+                    service.sessions.get("quiet")
+
+        pushed, session, quiet = asyncio.run(scenario())
+        streamed = dict(calls)
+        assert len(session.samples) == 10_000
+        assert streamed["touch_events"] == 0
+        assert quiet.segments
+        assert streamed["event_from"] == len(session.segments)
+        closed = session.touch_events()[:len(session.segments)]
+        assert [push["event"] for push in pushed] \
+            == [event.to_dict() for event in closed]
+        assert [push["index"] for push in pushed] \
+            == list(range(len(closed)))
 
 
 class TestAuthAndQuotas:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.tracking import TrackedSample
+from repro.core.tracking import StreamingTracker, TouchEvent, TrackedSample
 from repro.errors import ServeError
 from repro.serve.protocol import SensorConfig
 from repro.serve.session import SensorSession, SessionManager
@@ -138,6 +139,131 @@ class TestHistoryAndEvents:
         session = manager.session("sensor-a", SensorConfig())
         session.record(self._sample(0.0, True, 1.0, 0.02))
         assert session.samples == []
+
+
+def _reference_closed_events(samples, min_groups):
+    """The segmentation the gateway re-ran over the whole history on
+    every reply before sessions kept a log, restricted to closed
+    presses; kept here, summary math included, as the oracle."""
+    events = []
+    current = None
+    for sample in samples:
+        if sample.touched:
+            if current is None:
+                current = []
+            current.append(sample)
+        elif current is not None:
+            if len(current) >= min_groups:
+                forces = np.array([s.force for s in current])
+                locations = np.array([s.location for s in current])
+                weights = (forces / forces.sum() if forces.sum() > 0
+                           else None)
+                events.append(TouchEvent(
+                    onset=current[0].time, release=current[-1].time,
+                    peak_force=float(forces.max()),
+                    mean_location=float(np.average(locations,
+                                                   weights=weights))))
+            current = None
+    return events
+
+
+def _random_stream(seed, length=400, end_pressed=False):
+    """Presses of 1-6 groups (some all-zero force) between idle runs
+    that include signal-gap samples; ends mid-press if asked."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    while len(samples) < length:
+        for _ in range(int(rng.integers(1, 5))):
+            gap = rng.random() < 0.3
+            samples.append(TrackedSample(
+                time=0.01 * len(samples), phi1=0.0, phi2=0.0,
+                touched=False, force=0.0, location=0.0,
+                quality="gap" if gap else "ok"))
+        zero_force = rng.random() < 0.2
+        for _ in range(int(rng.integers(1, 7))):
+            samples.append(TrackedSample(
+                time=0.01 * len(samples), phi1=0.3, phi2=0.2,
+                touched=True,
+                force=0.0 if zero_force else float(rng.uniform(0.1, 8)),
+                location=float(rng.uniform(0.0, 0.08))))
+    # Every press above ends touched; close the last one unless the
+    # stream should end mid-press.
+    if not end_pressed:
+        samples.append(TrackedSample(
+            time=0.01 * len(samples), phi1=0.0, phi2=0.0, touched=False,
+            force=0.0, location=0.0))
+    return samples
+
+
+class TestEventLog:
+    """The closed-segment log against the whole-history segmentation."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("min_groups", [1, 2, 3, 4])
+    def test_log_equals_reference_segmentation(self, manager, seed,
+                                               min_groups):
+        samples = _random_stream(seed, end_pressed=seed % 2 == 1)
+        session = manager.session("sensor-a", SensorConfig())
+        pushed = []
+        cursor = 0
+        for sample in samples:
+            session.record(sample)
+            # Read incrementally, as a subscriber's cursor does.
+            pushed += session.closed_events(min_groups, start=cursor)
+            cursor = len(session.segments)
+        assert session.samples[-1].touched == (seed % 2 == 1)
+        expected = _reference_closed_events(samples, min_groups)
+        assert expected
+        assert pushed == expected
+        assert session.closed_events(min_groups) == expected
+        # The post-hoc query adds only the open press (if long enough).
+        full = session.touch_events(min_groups=min_groups)
+        assert full[:len(expected)] == expected
+        assert len(full) - len(expected) in (0, int(seed % 2 == 1))
+
+    def test_zero_force_press_uses_plain_mean_location(self, manager):
+        session = manager.session("sensor-a", SensorConfig())
+        for time, touched, location in ((0.0, True, 0.02),
+                                        (0.1, True, 0.04),
+                                        (0.2, False, 0.0)):
+            session.record(TrackedSample(
+                time=time, phi1=0.0, phi2=0.0, touched=touched,
+                force=0.0, location=location))
+        (event,) = session.closed_events()
+        assert event.mean_location == pytest.approx(0.03)
+        assert event.peak_force == 0.0
+
+    def test_each_segment_is_summarized_once_and_only_on_read(
+            self, manager, monkeypatch):
+        calls = []
+        summarize = StreamingTracker.event_from
+
+        def counting(samples):
+            calls.append((samples[0].time, len(samples)))
+            return summarize(samples)
+
+        monkeypatch.setattr(StreamingTracker, "event_from",
+                            staticmethod(counting))
+        session = manager.session("sensor-a", SensorConfig())
+        for sample in _random_stream(5):
+            session.record(sample)
+        assert session.segments and calls == []
+        first = session.closed_events(min_groups=3)
+        assert len(calls) == len(first)
+        again = session.closed_events(min_groups=1)
+        again += session.closed_events(min_groups=1)
+        assert len(calls) == len(session.segments)
+        assert len(set(calls)) == len(calls)
+        assert again[:len(session.segments)] == again[len(session.segments):]
+
+    def test_no_history_keeps_no_log(self, model_900):
+        manager = SessionManager(model_factory=lambda config: model_900,
+                                 history=False)
+        session = manager.session("sensor-a", SensorConfig())
+        for sample in _random_stream(0, length=20):
+            session.record(sample)
+        assert session.segments == []
+        assert session.closed_events() == []
 
 
 class TestEviction:
