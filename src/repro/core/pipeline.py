@@ -305,53 +305,20 @@ class WiForceReader:
 
     def measure_phases_batch(self, states: List[TagState]
                              ) -> Tuple[np.ndarray, np.ndarray]:
-        """Differential phase pairs for many presses in one fused pass.
+        """Differential phase pairs for many presses, read in turn.
 
-        Drives :meth:`repro.reader.batch.FastSounder.capture_batch`
-        when the sounder offers it — every press in the sweep rides
-        one time-contiguous array pass — and falls back to sequential
-        :meth:`_measure_phases` captures otherwise (oracle sounder, or
-        an armed fault plan, which must see every injection site in
-        the stream path's order).  Captures a baseline first if none
-        exists.  This is the acquisition loop of the surrogate
-        training sweeps (:mod:`repro.surrogate.data`).
+        Each press takes exactly the capture path of :meth:`read`: the
+        analytic :meth:`repro.reader.batch.FastSounder.capture_matrices`
+        when the sounder and extractor support it and no fault plan is
+        armed, the frame-level stream otherwise.  Captures a baseline
+        first if none exists.  This is the acquisition loop of the
+        surrogate training sweeps (:mod:`repro.surrogate.data`).
         """
         if self._baseline is None:
             self.capture_baseline()
-        if not states:
-            return np.zeros(0), np.zeros(0)
-        batched = (fault_armed() is None
-                   and hasattr(self.sounder, "capture_batch"))
-        if not batched:
-            pairs = [self._measure_phases(state) for state in states]
-            return (np.array([pair[0] for pair in pairs]),
-                    np.array([pair[1] for pair in pairs]))
-        frames = self.frames_per_capture
-        with maybe_span("reader.capture_batch",
-                        {"captures": len(states),
-                         "frames": frames * len(states)}):
-            streams = self.sounder.capture_batch(states, frames,
-                                                 start_time=self._clock)
-            self._clock += (len(states) * frames
-                            * self.sounder.config.frame_period)
-            tone1 = self.extractor.tones[0]
-            tone2 = self.extractor.tones[1]
-            phi1 = np.zeros(len(states))
-            phi2 = np.zeros(len(states))
-            for index, stream in enumerate(streams):
-                matrices = self.extractor.extract(stream)
-                phi1[index] = differential_phase(
-                    self._baseline[tone1],
-                    self._derotated_vector(matrices[tone1], tone1))
-                phi2[index] = differential_phase(
-                    self._baseline[tone2],
-                    self._derotated_vector(matrices[tone2], tone2))
-        obs = active()
-        if obs is not None:
-            obs.counter("reader.captures").increment(len(states))
-            obs.counter("reader.frames").increment(frames * len(states))
-            obs.counter("reader.batched_captures").increment(len(states))
-        return phi1, phi2
+        pairs = [self._measure_phases(state) for state in states]
+        return (np.array([pair[0] for pair in pairs], dtype=float),
+                np.array([pair[1] for pair in pairs], dtype=float))
 
     def _measure_phases(self, state: TagState) -> Tuple[float, float]:
         """One capture's differential phase pair against the baseline."""
@@ -409,15 +376,11 @@ class WiForceReader:
         sequentially (the sounder clock is stateful) but the model
         inversions run as one batched grid search.
         """
-        if self._baseline is None:
-            self.capture_baseline()
-        phases = [self._measure_phases(state) for state in states]
-        if not phases:
+        phi1, phi2 = self.measure_phases_batch(states)
+        if not states:
             return []
-        phi1 = np.array([pair[0] for pair in phases])
-        phi2 = np.array([pair[1] for pair in phases])
         estimates = self.estimator.invert_batch(phi1, phi2)
         return [
-            PressReading(phi1=pair[0], phi2=pair[1], estimate=estimate)
-            for pair, estimate in zip(phases, estimates)
+            PressReading(phi1=float(one), phi2=float(two), estimate=estimate)
+            for one, two, estimate in zip(phi1, phi2, estimates)
         ]

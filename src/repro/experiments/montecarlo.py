@@ -165,9 +165,9 @@ def _training_sweep_trial(level: int, carrier: float, fast: bool,
     Builds a fresh deployment at ``tx_power_dbm`` (its own clutter
     draw), then drives the (force, location) x repeats press grid
     through
-    :meth:`~repro.core.pipeline.WiForceReader.measure_phases_batch` —
-    one fused :meth:`~repro.reader.batch.FastSounder.capture_batch`
-    pass per chunk instead of per-press captures.  The sweep
+    :meth:`~repro.core.pipeline.WiForceReader.measure_phases_batch`,
+    one per-press harmonic capture each, exactly as a live read
+    takes them.  The sweep
     rebaselines every ``chunk_captures`` presses with a
     ``baseline_groups``-group drift fit: a single baseline's linear
     clock-drift extrapolation drifts ~1.5 rad across a thousand

@@ -1,47 +1,29 @@
-"""Batched vectorized sounding: the simulator's fast cold path.
+"""Vectorized sounding: the simulator's fast cold path.
 
-One cold campaign pushes ~337k OFDM frames through
-:meth:`repro.reader.sounder.FrameLevelSounder.capture`; profiling shows
-the per-capture cost is dominated by the per-frame AWGN draw (two
-``(frames, K)`` Gaussian arrays per capture) with the rest spent on
-repeated broadcast passes over the ``(frames, K)`` estimate block.
-This module restructures that hot loop into batched array form:
-
-* :meth:`FastSounder.capture_batch` synthesises many consecutive
-  captures as **one fused array operation** over the concatenated
-  ``[captures x frames x subcarriers]`` block: a single gather from
-  the tag's batched state tables
-  (:meth:`repro.sensor.tag.WiForceTag.reflection_table`), clock-phase
-  walks via cumulative sums over the concatenated capture axis, and a
-  single AWGN draw for the whole batch.
-* :meth:`FastSounder.capture_matrices` goes further for the reader
-  pipeline: the phase-group extraction
-  (:class:`repro.core.harmonics.HarmonicExtractor`) only consumes the
-  per-group DFT bins at the readout tones, and white Gaussian noise is
-  invariant under that (unitary) projection — so the fast path
-  evaluates the group DFT **analytically** from per-state coefficient
-  sums (an ``O(frames)`` scalar reduction plus a rank-4 matmul) and
-  draws the noise directly at the group level:
-  ``groups x tones x K`` Gaussians instead of ``frames x K``.  For a
-  rectangular window with integer-period groups this is exactly
-  equivalent in distribution (see DESIGN.md "Batched sounder" for the
-  proof sketch and the RNG-stream contract).
+A reader press is one capture followed by phase-group harmonic
+extraction (:class:`repro.core.harmonics.HarmonicExtractor`).  Through
+the frame-level oracle
+(:meth:`repro.reader.sounder.FrameLevelSounder.capture`) that costs a
+``(frames, K)`` AWGN draw plus repeated broadcast passes over the
+estimate block, and the extraction then keeps only the per-group DFT
+bins at the readout tones.  :meth:`FastSounder.capture_matrices`
+evaluates those bins **analytically** from per-state coefficient sums
+(an ``O(frames)`` scalar reduction plus a rank-4 matmul) and, because
+white Gaussian noise is invariant under the unitary group DFT, draws
+the noise directly at the group level: ``groups x tones x K``
+Gaussians instead of ``frames x K``.  For a rectangular window with
+integer-period groups this is exactly equivalent in distribution (see
+DESIGN.md "Batched sounder" for the proof sketch and the RNG-stream
+contract).
 
 Parity contract (enforced by ``tests/test_fast_sounder.py``):
 
-* ``FastSounder.capture`` (single capture) preserves the oracle's RNG
-  draw order and floating-point operation order — **bit-identical** to
-  :class:`FrameLevelSounder`, including under armed fault plans.
-* ``capture_batch`` reorders RNG draws (walks first, one fused noise
-  draw) — bit-identical when the sounder consumes no randomness
-  (``tag_phase_jitter = 0`` and zero noise), bounded-delta otherwise.
+* ``FastSounder.capture`` *is* the oracle's (inherited), and
+  ``capture_batch`` loops it with a running clock — both are
+  bit-identical to sequential oracle captures, noise and armed fault
+  plans included.
 * ``capture_matrices`` is bounded-delta: statistically exact, with the
   tolerance justified in DESIGN.md.
-
-Fault sites fire identically per-capture in every batched path: the
-injector's ``sensor.clock`` and ``channel.snr`` sites are drawn once
-per capture in capture order, exactly as a sequential oracle run
-would, so chaos replay stays bit-deterministic.
 """
 
 from __future__ import annotations
@@ -51,9 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, ReaderError
-from repro.faults.inject import armed as fault_armed
-from repro.obs.registry import active, maybe_span
-from repro.reader._kernels import HAVE_NUMBA, accumulate_harmonics
+from repro.obs.registry import active
+from repro.reader._kernels import accumulate_harmonics
 from repro.reader.sounder import ChannelEstimateStream, FrameLevelSounder
 from repro.sensor.tag import TagState
 
@@ -61,12 +42,14 @@ __all__ = ["FastSounder", "SOUNDER_KINDS", "resolve_sounder"]
 
 
 class FastSounder(FrameLevelSounder):
-    """Drop-in vectorized replacement for :class:`FrameLevelSounder`.
+    """Drop-in replacement for :class:`FrameLevelSounder` with the
+    analytic harmonic path.
 
-    Same constructor, same physics, same noise model; the synthesis is
-    restructured for throughput.  The oracle remains available behind
-    the ``sounder="oracle"`` switch of the system builders for
-    bit-level verification.
+    Same constructor, same physics, same noise model, and the oracle's
+    own frame-level :meth:`capture`; :meth:`capture_matrices` adds the
+    fused capture + extraction the reader uses when it can.  The
+    oracle class remains available behind the ``sounder="oracle"``
+    switch of the system builders.
     """
 
     def __init__(self, *args, **kwargs):
@@ -91,44 +74,16 @@ class FastSounder(FrameLevelSounder):
             self._time_base[frames] = base
         return base
 
-    def _draw_capture_faults(self, count: int) -> List[Tuple]:
-        """One ``(sensor.clock, channel.snr)`` draw pair per capture.
-
-        Drawn in capture order so the injector's site visit counters
-        advance exactly as they would for ``count`` sequential oracle
-        captures — the chaos-replay invariant.
-        """
-        inj = fault_armed()
-        if inj is None:
-            return [(None, None)] * count
-        return [(inj.draw("sensor.clock"), inj.draw("channel.snr"))
-                for _ in range(count)]
-
-    # ------------------------------------------------------------------
-    # stream synthesis (single + batched)
-
-    def capture(self, state: TagState, frames: int,
-                start_time: float = 0.0) -> ChannelEstimateStream:
-        """One capture, bit-identical to the oracle sounder.
-
-        RNG draws follow the oracle order (jitter walk, then the two
-        AWGN component arrays) and every floating-point operation is
-        applied in the oracle's order, so the returned stream matches
-        :meth:`FrameLevelSounder.capture` bit for bit — including
-        under armed fault plans.
-        """
-        return self._synthesize([state], [frames], start_time,
-                                fused_rng=False)[0]
-
     def capture_batch(self, states: Sequence[TagState],
                       frames: Union[int, Sequence[int]],
                       start_time: float = 0.0
                       ) -> List[ChannelEstimateStream]:
-        """Record consecutive captures as one fused array operation.
+        """Record consecutive captures with a running clock.
 
-        Captures are time-contiguous: capture ``c`` starts where
-        capture ``c - 1`` ended, exactly as a sequential protocol
-        driving :meth:`capture` with a running clock.
+        Capture ``c`` starts where capture ``c - 1`` ended, exactly as
+        a sequential protocol driving :meth:`capture` would, so every
+        stream is bit-identical to the sequential oracle captures,
+        noise and armed fault plans included.
 
         Args:
             states: Press state held during each capture.
@@ -136,9 +91,7 @@ class FastSounder(FrameLevelSounder):
             start_time: Start of the first capture [s].
 
         Returns:
-            One :class:`ChannelEstimateStream` per state.  The streams
-            are views into one contiguous batch buffer — treat them as
-            immutable (every downstream mutator copies first).
+            One :class:`ChannelEstimateStream` per state.
         """
         if not states:
             raise ConfigurationError("need at least one capture state")
@@ -150,167 +103,15 @@ class FastSounder(FrameLevelSounder):
                 raise ConfigurationError(
                     f"got {len(states)} states but {len(per_frames)} "
                     f"frame counts")
-        with maybe_span("reader.capture_batch",
-                        {"captures": len(states),
-                         "frames": sum(per_frames)}):
-            streams = self._synthesize(list(states), per_frames, start_time,
-                                       fused_rng=True)
-        obs = active()
-        if obs is not None:
-            obs.counter("reader.batched_captures").increment(len(states))
-            obs.histogram(
-                "reader.batch_frames",
-                (1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6),
-            ).observe(float(sum(per_frames)))
-        return streams
-
-    def _synthesize(self, states: List[TagState], per_frames: List[int],
-                    start_time: float,
-                    fused_rng: bool) -> List[ChannelEstimateStream]:
-        """The batched kernel behind both stream entry points.
-
-        ``fused_rng=False`` preserves the oracle's per-capture RNG
-        draw order (bit-parity mode); ``fused_rng=True`` draws all
-        clock-walk steps once and all noise as a single fused draw.
-        """
         for count in per_frames:
             if count < 1:
                 raise ConfigurationError(f"frames must be >= 1, got {count}")
-        period = self.config.frame_period
-        k_tones = self._frequencies.size
-        # Capture offsets accumulate exactly like a sequential driver's
-        # running clock (`clock += frames * period`) so batch timestamps
-        # are bit-identical to sequential oracle captures.
-        offsets = np.empty(len(per_frames))
+        streams = []
         clock = start_time
-        for index, count in enumerate(per_frames):
-            offsets[index] = clock
-            clock = clock + count * period
-        bounds = np.concatenate(([0], np.cumsum(per_frames)))
-        total = int(bounds[-1])
-        mid_shift = 0.5 * (self.config.preamble_samples
-                           / self.config.bandwidth)
-
-        times = np.empty(total, dtype=float)
-        for index, count in enumerate(per_frames):
-            times[bounds[index]:bounds[index + 1]] = (
-                offsets[index] + self._frame_base(count))
-        midpoints = times + mid_shift
-
-        faults = self._draw_capture_faults(len(states))
-        for index, (clock_fault, _) in enumerate(faults):
-            if clock_fault is not None and clock_fault.kind == "duty_jitter":
-                span = slice(bounds[index], bounds[index + 1])
-                midpoints[span] = midpoints[span] + clock_fault.rng().normal(
-                    0.0, clock_fault.magnitude * period, per_frames[index])
-
-        # Batched tag state evaluation: one gather over the stacked
-        # per-state tables, indexed by 4 * state_slot + switch_index.
-        slots: Dict[Tuple[float, float], int] = {}
-        capture_slot = np.empty(len(states), dtype=np.int64)
-        unique_states: List[TagState] = []
-        for index, state in enumerate(states):
-            key = (state.force, state.location)
-            slot = slots.get(key)
-            if slot is None:
-                slot = len(unique_states)
-                slots[key] = slot
-                unique_states.append(state)
-            capture_slot[index] = slot
-        tables = self.tag.reflection_table(self._frequencies, unique_states)
-        flat_tables = tables.reshape(-1, k_tones)
-        switch_index = self.tag.state_indices(midpoints)
-        rows = switch_index + 4 * np.repeat(capture_slot, per_frames)
-        gamma = flat_tables[rows]
-
-        for index, (clock_fault, _) in enumerate(faults):
-            if clock_fault is not None and clock_fault.kind == "drift":
-                span = slice(bounds[index], bounds[index + 1])
-                ramp = clock_fault.magnitude * (
-                    times[span] - times[bounds[index]])
-                gamma[span] = gamma[span] * np.exp(1j * ramp)[:, None]
-
-        if self.tag_phase_jitter > 0.0:
-            step = np.radians(self.tag_phase_jitter) * np.sqrt(period)
-            if fused_rng:
-                steps = self._rng.normal(0.0, step, total)
-            for index in range(len(states)):
-                span = slice(bounds[index], bounds[index + 1])
-                if not fused_rng:
-                    walk = self._jitter_phase + np.cumsum(
-                        self._rng.normal(0.0, step, per_frames[index]))
-                else:
-                    walk = self._jitter_phase + np.cumsum(steps[span])
-                self._jitter_phase = float(walk[-1])
-                resting = tables[capture_slot[index], 0]
-                # In-place on the gamma view, preserving the oracle's
-                # operand order: IEEE-754 addition reorders bitwise,
-                # but numpy's complex multiply does NOT commute at the
-                # bit level (broadcast operand order selects different
-                # inner loops), so the multiply goes through
-                # ``np.multiply(..., out=)`` with the oracle's operand
-                # order.  The batch block is bigger than L2, so every
-                # avoided block-sized temporary is a real win.
-                block = gamma[span]
-                block -= resting[None, :]
-                np.multiply(block, np.exp(1j * walk)[:, None], out=block)
-                block += resting[None, :]
-
-        # `static + gain * gamma` evaluated in place on gamma (freshly
-        # gathered, so we own it): same bits, no batch-sized temps.
-        np.multiply(self._tag_gain[None, :], gamma, out=gamma)
-        gamma += self._static[None, :]
-        estimates = gamma
-
-        base_std = self.effective_noise_std()
-        scales = np.full(len(states), base_std)
-        for index, (_, snr_fault) in enumerate(faults):
-            if snr_fault is not None and snr_fault.kind == "collapse":
-                scales[index] = scales[index] * snr_fault.magnitude
-        if base_std > 0.0:
-            if fused_rng:
-                # Single AWGN draw for the whole batch; interleaved
-                # real/imag components via a complex view.
-                noise = self._rng.standard_normal(2 * total * k_tones).view(
-                    np.complex128).reshape(total, k_tones)
-                if np.all(scales == scales[0]):
-                    noise *= np.sqrt(scales[0] ** 2 / 2.0)
-                else:
-                    for index in range(len(states)):
-                        span = slice(bounds[index], bounds[index + 1])
-                        noise[span] *= np.sqrt(scales[index] ** 2 / 2.0)
-                estimates += noise
-            else:
-                for index in range(len(states)):
-                    if not scales[index] > 0.0:
-                        continue  # oracle skips the draw entirely
-                    span = slice(bounds[index], bounds[index + 1])
-                    shape = (per_frames[index], k_tones)
-                    scale = np.sqrt(scales[index] ** 2 / 2.0)
-                    estimates[span] += (
-                        self._rng.normal(0.0, 1.0, shape)
-                        + 1j * self._rng.normal(0.0, 1.0, shape)) * scale
-
-        for index, (_, snr_fault) in enumerate(faults):
-            if snr_fault is not None and snr_fault.kind == "interference":
-                span = slice(bounds[index], bounds[index + 1])
-                erng = snr_fault.rng()
-                tone = int(erng.integers(self._frequencies.size))
-                amplitude = snr_fault.magnitude * float(
-                    np.mean(np.abs(self._static)))
-                phase = erng.uniform(0.0, 2.0 * np.pi, per_frames[index])
-                estimates[bounds[index]:bounds[index + 1], tone] += (
-                    amplitude * np.exp(1j * phase))
-
-        return [
-            ChannelEstimateStream(
-                estimates=estimates[bounds[index]:bounds[index + 1]],
-                times=times[bounds[index]:bounds[index + 1]],
-                frequencies=self._frequencies.copy(),
-                frame_period=period,
-            )
-            for index in range(len(states))
-        ]
+        for state, count in zip(states, per_frames):
+            streams.append(self.capture(state, count, start_time=clock))
+            clock = clock + count * self.config.frame_period
+        return streams
 
     # ------------------------------------------------------------------
     # harmonic-domain fast path

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -150,7 +150,7 @@ class WiForceTag:
 
         Returns shape ``(4, len(frequency))`` in switch-index order
         ``on1 * 2 + on2`` — row 0 is the resting (off, off) state.
-        This is the gather table the batched sounders index per frame;
+        This is the gather table the sounders index per frame;
         the stack is memoized alongside :meth:`state_reflections` in
         its own bounded LRU so the hot loop never re-stacks.  The
         returned array is shared — treat it as read-only.
@@ -174,21 +174,6 @@ class WiForceTag:
         while len(self._table_cache) > self.STATE_CACHE_LIMIT:
             self._table_cache.popitem(last=False)
         return table
-
-    def reflection_table(self, frequency: np.ndarray,
-                         states: Sequence[TagState]) -> np.ndarray:
-        """Batched state evaluation: stacked tables for many states.
-
-        Returns shape ``(len(states), 4, len(frequency))`` — the
-        per-capture gather tables of a batched capture, assembled from
-        the same per-state LRU as the scalar path so repeated states
-        (every baseline capture of a campaign) hit the cache.
-        """
-        frequency = np.asarray(frequency, dtype=float)
-        if not states:
-            raise SensorError("need at least one state")
-        return np.stack([self.state_table(frequency, state)
-                         for state in states])
 
     def state_indices(self, times: np.ndarray) -> np.ndarray:
         """Switch-state index ``on1 * 2 + on2`` at each time sample.

@@ -3,12 +3,13 @@
 Sweeps (force, location, SNR) through the *existing* wireless
 simulator: one :func:`~repro.experiments.scenarios.build_wireless_scenario`
 deployment per transmit-power level, a baseline capture for the drift
-reference, then every press in the sweep captured through
-:meth:`repro.reader.batch.FastSounder.capture_batch` in one fused array
-pass (:meth:`repro.core.pipeline.WiForceReader.measure_phases_batch`).
-The SNR axis is the reader's transmit power — lower power means noisier
-phase estimates, which is exactly the distribution shift the surrogate
-must absorb at serve time.
+reference, then every press in the sweep read through
+:meth:`repro.core.pipeline.WiForceReader.measure_phases_batch`: the
+same per-press harmonic capture a live read takes, so training rows
+and served phases come from one measurement path.  The SNR axis is
+the reader's transmit power — lower power means noisier phase
+estimates, which is exactly the distribution shift the surrogate must
+absorb at serve time.
 
 Everything is seeded by the spec, so the dataset is a pure function of
 :meth:`DatasetSpec.cache_key` and flows content-addressed through
@@ -28,7 +29,7 @@ from repro.errors import SurrogateError
 from repro.obs.registry import active, maybe_span
 
 #: Bump whenever the sweep protocol or serialized layout changes.
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from repro.core.estimator import (
 )
 from repro.errors import EstimationError, SurrogateError
 from repro.obs.registry import active, maybe_span
+from repro.surrogate import data as _data
 from repro.surrogate.data import DatasetSpec, TrainingDataset, build_dataset
 
 #: Bump whenever the feature map, fit, or serialized layout changes.
@@ -332,15 +333,17 @@ def train_surrogate(model: SensorModel,
     The dataset flows through :func:`repro.surrogate.data.build_dataset`
     (itself cached) and the fitted model is memoized under the
     ``surrogate.model`` namespace, keyed on the dataset spec, feature
-    map, ridge strength, *and* the calibrated model itself — retraining
-    is automatic whenever any ingredient changes.  ``executor`` only
-    matters on a cold dataset sweep, where it shards SNR levels across
-    warm campaign pools.
+    map, ridge strength, the sweep protocol
+    (:data:`repro.surrogate.data.DATASET_VERSION`) *and* the calibrated
+    model itself — retraining is automatic whenever any ingredient
+    changes.  ``executor`` only matters on a cold dataset sweep, where
+    it shards SNR levels across warm campaign pools.
     """
     spec = spec or DatasetSpec()
     feature_map = feature_map or PhaseFeatureMap()
     key = {
         "dataset": spec.cache_key(),
+        "dataset_version": _data.DATASET_VERSION,
         "features": feature_map.to_dict(),
         "ridge_lambda": float(ridge_lambda),
         "model": model.to_dict(),

@@ -1,19 +1,22 @@
 """Parity suite for the batched fast sounder (repro.reader.batch).
 
-Three tiers of agreement with the frame-level oracle, matching the
+Two tiers of agreement with the frame-level oracle, matching the
 contract in DESIGN.md "Batched sounder":
 
-* ``FastSounder.capture`` — bit-identical for every configuration,
-  including armed fault plans (the RNG stream and operation order are
-  preserved).
-* ``FastSounder.capture_batch`` — bit-identical when the sounder
-  consumes no randomness; bounded-delta otherwise (fused draws).
+* ``FastSounder.capture`` (inherited from the oracle) and
+  ``FastSounder.capture_batch`` (a loop over it with a running
+  clock) — bit-identical for every configuration, noise and armed
+  fault plans included.
 * ``FastSounder.capture_matrices`` — statistically exact; noiseless
   runs agree to rounding, noisy runs differ by two independent noise
   draws of the same distribution.
+
+``WiForceReader.measure_phases_batch`` (the sweep acquisition loop)
+must equal a loop over the per-press read path bit for bit.
 """
 
 import importlib
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -148,8 +151,10 @@ class TestSingleCaptureBitParity:
 
 
 class TestCaptureBatch:
-    def test_noiseless_batch_bit_identical_to_sequential(self, builder):
-        oracle, fast = _pair(builder, quiet=True)
+    @pytest.mark.parametrize("quiet", [True, False],
+                             ids=["noiseless", "noisy"])
+    def test_batch_bit_identical_to_sequential(self, builder, quiet):
+        oracle, fast = _pair(builder, seed=5, quiet=quiet)
         states = [TagState(), PRESS, TagState(force=1.0, location=0.06),
                   TagState()]
         streams = fast.capture_batch(states, 625)
@@ -170,25 +175,6 @@ class TestCaptureBatch:
             clock += frames * oracle.config.frame_period
             assert np.array_equal(ref.estimates, stream.estimates)
 
-    def test_noisy_batch_matches_in_distribution(self, builder):
-        # Fused RNG reorders the noise draws: same noise power, not the
-        # same bits.  Check the residual statistics agree.
-        oracle, fast = _pair(builder, seed=5)
-        states = [TagState()] * 4
-        streams = fast.capture_batch(states, 625)
-        clock = 0.0
-        refs = []
-        for state in states:
-            refs.append(oracle.capture(state, 625, start_time=clock))
-            clock += 625 * oracle.config.frame_period
-        noise_std = oracle.effective_noise_std()
-        for ref, got in zip(refs, streams):
-            assert np.array_equal(ref.times, got.times)
-            delta = got.estimates - ref.estimates
-            # Difference of two independent complex AWGN draws (plus a
-            # bounded jitter-phase contribution).
-            assert np.sqrt(np.mean(np.abs(delta) ** 2)) < 3.0 * noise_std
-
     def test_rejects_empty_and_mismatched_inputs(self, builder):
         _, fast = _pair(builder, quiet=True)
         with pytest.raises(ConfigurationError):
@@ -199,17 +185,15 @@ class TestCaptureBatch:
             fast.capture_batch([PRESS], 0)
 
     def test_armed_plan_fires_per_capture_in_order(self, builder):
-        # Sounder-level fault sites must see the same visit sequence a
-        # sequential oracle run would: the deterministic fault draws
-        # (site counters + event RNGs) shape the signal identically;
-        # only the fused AWGN bits differ.
+        # Sounder-level fault sites see the same visit sequence a
+        # sequential oracle run would, and every noise draw matches.
         plan = FaultPlan(specs=(
             FaultSpec(site="sensor.clock", kind="drift",
                       probability=0.7, magnitude=4.0),
             FaultSpec(site="channel.snr", kind="interference",
                       probability=0.7, magnitude=6.0),
         ), seed=13, name="batch-order")
-        oracle, fast = _pair(builder, quiet=True)
+        oracle, fast = _pair(builder)
         states = [PRESS, TagState(), PRESS]
         with inject(plan) as injector:
             streams = fast.capture_batch(states, 625)
@@ -346,6 +330,45 @@ class TestHarmonicFastPath:
         assert ref == got
 
 
+class TestSweepPath:
+    """``measure_phases_batch`` is the per-press read path, looped."""
+
+    SWEEP = [PRESS, TagState(force=5.5, location=0.03),
+             TagState(force=1.0, location=0.055), PRESS]
+
+    def _compare(self, builder, plan=None):
+        model = calibrated_model(900e6, fast=True)
+        _, batched = _pair(builder, seed=23)
+        _, looped = _pair(builder, seed=23)
+        sweep_reader = WiForceReader(batched, model)
+        loop_reader = WiForceReader(looped, model)
+        with inject(plan) if plan is not None else nullcontext():
+            phi1, phi2 = sweep_reader.measure_phases_batch(self.SWEEP)
+        with inject(plan) if plan is not None else nullcontext():
+            loop_reader.capture_baseline()
+            pairs = [loop_reader._measure_phases(state)
+                     for state in self.SWEEP]
+        assert np.array_equal(phi1, [pair[0] for pair in pairs])
+        assert np.array_equal(phi2, [pair[1] for pair in pairs])
+        assert sweep_reader.elapsed == loop_reader.elapsed
+
+    def test_unarmed_sweep_equals_per_press_loop(self, builder):
+        self._compare(builder)
+
+    def test_armed_sweep_equals_per_press_loop(self, builder):
+        plan = FaultPlan(specs=(
+            FaultSpec(site="reader.capture", kind="desync",
+                      probability=0.5, magnitude=1.5),
+            FaultSpec(site="reader.capture", kind="phase_jump",
+                      probability=0.5, magnitude=0.8),
+            FaultSpec(site="sensor.clock", kind="duty_jitter",
+                      probability=0.5, magnitude=0.3),
+            FaultSpec(site="channel.snr", kind="collapse",
+                      probability=0.5, magnitude=4.0),
+        ), seed=37, name="sweep-parity")
+        self._compare(builder, plan)
+
+
 class TestWaveformAdapters:
     def test_fmcw_gather_matches_per_sweep_reference(self, transducer):
         # The vectorized sweep gather must reproduce the per-sweep
@@ -413,16 +436,6 @@ class TestBatchedTagAPI:
         np.testing.assert_array_equal(table[1], reflections[(False, True)])
         np.testing.assert_array_equal(table[2], reflections[(True, False)])
         np.testing.assert_array_equal(table[3], reflections[(True, True)])
-
-    def test_reflection_table_stacks_states(self, transducer, config):
-        tag = WiForceTag(transducer)
-        frequencies = config.subcarrier_frequencies()
-        states = [TagState(), PRESS]
-        stacked = tag.reflection_table(frequencies, states)
-        assert stacked.shape == (2, 4, frequencies.size)
-        for index, state in enumerate(states):
-            np.testing.assert_array_equal(
-                stacked[index], tag.state_table(frequencies, state))
 
     def test_state_indices_match_reflection_series_gather(self, transducer,
                                                           config):

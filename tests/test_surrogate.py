@@ -147,6 +147,30 @@ class TestSerialization:
         again = train_surrogate(model_900, SMALL_SPEC)
         assert again.to_dict() == surrogate.to_dict()
 
+    def test_dataset_version_bump_refits_the_model(self, model_900,
+                                                   tmp_path, monkeypatch):
+        """A warm model cache must not outlive a sweep-protocol change."""
+        from repro.cache import temporary_cache
+        from repro.surrogate import data
+
+        fits = []
+        fit = SurrogateInverse.fit.__func__
+
+        def counting_fit(cls, *args, **kwargs):
+            fits.append(True)
+            return fit(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SurrogateInverse, "fit",
+                            classmethod(counting_fit))
+        with temporary_cache(tmp_path):
+            train_surrogate(model_900, SMALL_SPEC)
+            train_surrogate(model_900, SMALL_SPEC)
+            assert len(fits) == 1
+            monkeypatch.setattr(data, "DATASET_VERSION",
+                                data.DATASET_VERSION + 1)
+            train_surrogate(model_900, SMALL_SPEC)
+        assert len(fits) == 2
+
 
 class TestFallbackContract:
     @settings(max_examples=25, deadline=None)
