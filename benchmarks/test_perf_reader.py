@@ -14,6 +14,13 @@ measurement on the same press states, so the ratio is machine
 normalized.  A bit-identity spot check (the parity suite's tier 1) runs
 first: a timing win on diverging physics would be meaningless.
 
+The oracle's ``(frames, K)`` temporaries sit near glibc's dynamic
+mmap threshold, which moves with whatever the process freed before, so
+the ratio would depend on allocator history rather than on the two
+timed paths.  Where glibc is present the module pins that threshold
+with ``mallopt`` before timing (``mmap_threshold_pinned`` in the
+report says whether it could).
+
 The machine-readable summary lands in
 ``benchmarks/results/BENCH_reader.json`` with the obs counter snapshot
 of the measured runs, and ``compare_bench.py`` gates ``cold_speedup``.
@@ -21,6 +28,8 @@ of the measured runs, and ``compare_bench.py`` gates ``cold_speedup``.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import time
 from pathlib import Path
 
@@ -59,6 +68,13 @@ BATCH = 8
 #: The hard floor the tentpole promises for the fused path.
 MIN_COLD_SPEEDUP = 10.0
 
+#: glibc's ``mallopt`` parameter number for the mmap threshold.
+M_MMAP_THRESHOLD = -3
+
+#: The pinned threshold [bytes]: glibc's dynamic ceiling on 64-bit
+#: hosts, so every capture temporary comes from the heap.
+MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
+
 _report: dict = {
     "groups": GROUPS,
     "repeats": REPEATS,
@@ -89,9 +105,26 @@ def _states(count):
             for _ in range(count)]
 
 
+def _pin_mmap_threshold() -> bool:
+    """Pin glibc's mmap threshold for this process.
+
+    Returns whether it took: ``False`` without glibc (no ``mallopt``,
+    or musl's stub that refuses every parameter).
+    """
+    try:
+        libc = ctypes.CDLL(ctypes.util.find_library("c"))
+        mallopt = libc.mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+
+
 @pytest.fixture(scope="module", autouse=True)
 def bench_report():
     """Write the machine-readable summary after the module finishes."""
+    _report["mmap_threshold_pinned"] = _pin_mmap_threshold()
     yield
     stamp_report(_report, config={"groups": GROUPS, "repeats": REPEATS,
                                   "batch": BATCH,

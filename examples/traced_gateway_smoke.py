@@ -2,8 +2,8 @@
 """Traced gateway smoke: one request, one coherent trace tree.
 
 Boots the asyncio gateway on an ephemeral loopback port, sends a
-single ``POST /v1/estimate`` carrying a W3C ``traceparent`` header,
-and asserts the full stitching contract end to end:
+``POST /v1/estimate`` carrying a sampled W3C ``traceparent`` header
+(flags ``01``), and asserts the full stitching contract end to end:
 
 * the response echoes the caller's trace ID in ``x-repro-trace-id``;
 * every span of the request — ``gateway.request`` →
@@ -11,6 +11,10 @@ and asserts the full stitching contract end to end:
   ``estimator.invert_batch`` — shares that one trace ID with correct
   parent links;
 * the batch ``serve.flush`` span links back to its member request.
+
+A second request carries an unsampled ``traceparent`` (flags ``00``):
+its trace ID is echoed too, but no span event carries it, while the
+``span.serve.estimate.seconds`` stage histogram counts both requests.
 
 The collected span events are written as JSONL (default
 ``trace-events.jsonl``, override with ``--output``) so
@@ -43,23 +47,26 @@ from repro.serve import (
 TRACE_ID = "feed" * 8
 PARENT_SPAN = "abcd" * 4
 TRACEPARENT = f"00-{TRACE_ID}-{PARENT_SPAN}-01"
+UNSAMPLED_TRACE_ID = "beef" * 8
+UNSAMPLED_TRACEPARENT = f"00-{UNSAMPLED_TRACE_ID}-{PARENT_SPAN}-00"
 
 EXPECTED_SPANS = ("gateway.request", "serve.estimate", "serve.session",
                   "serve.flush", "estimator.invert_batch")
 
 
-async def _one_traced_request(gateway):
+async def _one_traced_request(gateway, traceparent, sequence=0):
     host, port = gateway.address
     reader, writer = await asyncio.open_connection(host, port)
     body = json.dumps(EstimateRequest(
-        sensor_id="smoke", sequence=0, time=0.0, phi1=0.5, phi2=0.4,
+        sensor_id="smoke", sequence=sequence, time=0.01 * sequence,
+        phi1=0.5, phi2=0.4,
         config=SensorConfig()).to_dict()).encode("utf-8")
     writer.write(gw_http.render_request(
         "POST", "/v1/estimate",
         headers={"authorization": "Bearer smoke-token",
                  "connection": "close",
                  "content-type": "application/json",
-                 "traceparent": TRACEPARENT},
+                 "traceparent": traceparent},
         body=body))
     await writer.drain()
     response = await gw_http.read_response(reader, GatewayLimits())
@@ -92,14 +99,25 @@ def main(argv=None):
 
         async def scenario():
             async with Gateway(service, tenants=tenants) as gateway:
-                return await _one_traced_request(gateway)
+                sampled = await _one_traced_request(gateway, TRACEPARENT)
+                unsampled = await _one_traced_request(
+                    gateway, UNSAMPLED_TRACEPARENT, sequence=1)
+                return sampled, unsampled
 
-        response = asyncio.run(scenario())
+        response, unsampled = asyncio.run(scenario())
         events = list(registry.sink.events)
+        histograms = registry.snapshot()["histograms"]
 
     assert response.status == 200, response.status
     echoed = response.headers.get("x-repro-trace-id")
     assert echoed == TRACE_ID, (echoed, TRACE_ID)
+    assert unsampled.status == 200, unsampled.status
+    echoed = unsampled.headers.get("x-repro-trace-id")
+    assert echoed == UNSAMPLED_TRACE_ID, (echoed, UNSAMPLED_TRACE_ID)
+    assert not [event for event in events
+                if event.get("trace_id") == UNSAMPLED_TRACE_ID]
+    estimates = histograms["span.serve.estimate.seconds"]["count"]
+    assert estimates == 2, estimates
 
     spans = _spans_by_name(events)
     for name in EXPECTED_SPANS:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -157,17 +158,17 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
-        index = 0
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                break
-        else:
-            index = len(self.bounds)
+        # The first bound >= value; NaN compares false against every
+        # bound, so it goes to the overflow bucket explicitly.
+        index = (bisect_left(self.bounds, value) if value == value
+                 else len(self.bounds))
         self.counts[index] += 1
         self.count += 1
         self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
 
     @property
     def mean(self) -> float:
@@ -314,3 +315,44 @@ class Span:
             trace.reset_context(self._token)
             self._token = None
         self._registry._record_span(self, exc)
+
+
+class StageTimer:
+    """What :meth:`Registry.span` returns for an unsampled trace.
+
+    Times the ``with`` body with one ``perf_counter`` pair and
+    observes the duration into the same ``span.<name>.seconds``
+    histogram a :class:`Span` feeds, so per-stage latency stats and
+    SLOs count every request; no span ID is minted and no event goes
+    to the sink or the flight recorder.  When the span was given an
+    explicit ``context`` or ``parent`` (or minted a fresh root), that
+    context becomes ambient for the body, so nested spans resolve to
+    the same unsampled trace instead of starting their own.
+    """
+
+    __slots__ = ("_histogram", "_context", "_token", "_start",
+                 "duration_s")
+
+    def __init__(self, histogram: Histogram,
+                 context: Optional[trace.TraceContext] = None):
+        self._histogram = histogram
+        self._context = context
+        self._token = None
+        self._start = 0.0
+        self.duration_s: Optional[float] = None
+
+    def set(self, key: str, value) -> None:
+        """Attributes are span-event payload; a timer has none."""
+
+    def __enter__(self) -> "StageTimer":
+        if self._context is not None:
+            self._token = trace.set_context(self._context)
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.duration_s = time.perf_counter() - self._start
+        if self._token is not None:
+            trace.reset_context(self._token)
+            self._token = None
+        self._histogram.observe(self.duration_s)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence, Union
 
 from repro.obs import trace
 from repro.obs.instruments import (
@@ -33,6 +33,7 @@ from repro.obs.instruments import (
     JsonlSink,
     NullSink,
     Span,
+    StageTimer,
     TelemetrySink,
 )
 from repro.obs.recorder import flight_recorder
@@ -86,7 +87,7 @@ class Registry:
              context: Optional[trace.TraceContext] = None,
              parent: Optional[trace.TraceContext] = None,
              links: Optional[Sequence[trace.TraceContext]] = None
-             ) -> Span:
+             ) -> Union[Span, StageTimer]:
         """Open a trace span (use as a context manager).
 
         On exit the span's duration lands in the per-stage histogram
@@ -94,16 +95,35 @@ class Registry:
         into snapshots) and one event dict goes to the sink and the
         flight recorder.  ``context`` / ``parent`` / ``links`` pin the
         span's place in the trace tree explicitly; by default it
-        nests under the ambient :func:`repro.obs.trace.current_context`.
+        nests under the ambient :func:`repro.obs.trace.current_context`
+        (a fresh :func:`repro.obs.trace.new_root` when there is none).
+
+        When that resolved context is unsampled, the span is a
+        :class:`StageTimer` instead: the same histogram observation,
+        no IDs and no event.
         """
+        resolved = context if context is not None else parent
+        explicit = resolved is not None
+        if not explicit:
+            resolved = trace.current_context()
+            if resolved is None:
+                resolved = context = trace.new_root()
+                explicit = True
+        if not resolved.sampled:
+            return StageTimer(self.histogram(f"span.{name}.seconds"),
+                              resolved if explicit else None)
         return Span(self, name, attributes, context=context,
                     parent=parent, links=links)
 
     def _record_span(self, span: Span, exc: Optional[BaseException]
                      ) -> None:
-        """Span exit hook: emit the event, keep the stage histogram."""
+        """Span exit hook: keep the stage histogram; emit the event
+        when the span's trace is sampled."""
         self.histogram(f"span.{span.name}.seconds").observe(
             span.duration_s)
+        context = span.context
+        if not context.sampled:
+            return
         event = {
             "span": span.name,
             "duration_s": span.duration_s,
@@ -112,17 +132,15 @@ class Registry:
         }
         if exc is not None:
             event["error_message"] = str(exc)
-        context = span.context
-        if context is not None and context.sampled:
-            event["trace_id"] = context.trace_id
-            event["span_id"] = context.span_id
-            event["parent_span_id"] = span.parent_span_id
-            event["start_unix"] = span.start_unix
-            links = [{"trace_id": link.trace_id,
-                      "span_id": link.span_id}
-                     for link in span.links if link.sampled]
-            if links:
-                event["links"] = links
+        event["trace_id"] = context.trace_id
+        event["span_id"] = context.span_id
+        event["parent_span_id"] = span.parent_span_id
+        event["start_unix"] = span.start_unix
+        links = [{"trace_id": link.trace_id,
+                  "span_id": link.span_id}
+                 for link in span.links if link.sampled]
+        if links:
+            event["links"] = links
         event.update(span.attributes)
         self.sink.emit(event)
         flight_recorder().record_span_event(event)

@@ -23,8 +23,13 @@ function of the trace ID and the ``REPRO_TRACE_SAMPLE`` rate
 (``int(trace_id[:16], 16) < rate * 2**64``), so every process that
 sees a trace makes the same call with no coordination.  An unsampled
 context still propagates (the gateway echoes its trace ID either
-way); only span *recording* of trace fields is skipped, which is what
-keeps the instrumentation-overhead budget intact at low rates.
+way); only span *recording* is skipped: a span under an unsampled
+context is a stage timer that feeds its ``span.<name>.seconds``
+histogram and nothing else (see
+:meth:`repro.obs.registry.Registry.span`), which is what keeps the
+instrumentation-overhead budget intact at low rates.  With the
+variable unset, roots minted at a transport edge are sampled at
+:data:`EDGE_SAMPLE_RATE` and in-process roots at 1.0.
 
 Span IDs are sequenced from a per-process random odd base (a
 multiplicative counter over ``2**64``), re-seeded on fork so campaign
@@ -42,8 +47,16 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 #: Environment variable holding the head-sampling rate in [0, 1].
-#: Unset / unparsable means 1.0 (record every trace when obs is on).
+#: Unparsable means 1.0 (record every trace when obs is on); unset
+#: means 1.0 for in-process roots and :data:`EDGE_SAMPLE_RATE` for
+#: requests arriving at a transport edge.
 TRACE_SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
+
+#: Head-sampling rate for roots minted at a transport edge
+#: (:func:`request_context`) when ``REPRO_TRACE_SAMPLE`` is unset: the
+#: gateway serves one request per phase sample, so recording every
+#: one would spend the observability budget on events nothing reads.
+EDGE_SAMPLE_RATE = 0.01
 
 _ZERO_TRACE_ID = "0" * 32
 _ZERO_SPAN_ID = "0" * 16
@@ -99,19 +112,23 @@ def new_span_id() -> str:
 _rate_cache = (None, 1.0)
 
 
-def sample_rate(environ: Optional[dict] = None) -> float:
-    """The head-sampling rate from ``REPRO_TRACE_SAMPLE`` (default 1).
+def sample_rate(environ: Optional[dict] = None,
+                default: float = 1.0) -> float:
+    """The head-sampling rate from ``REPRO_TRACE_SAMPLE``.
 
-    Clamped to [0, 1]; an unparsable value falls back to 1.0 so a
-    typo'd deployment records too much rather than nothing.
+    ``default`` when the variable is unset or blank.  Clamped to
+    [0, 1]; an unparsable value falls back to 1.0 so a typo'd
+    deployment records too much rather than nothing.
     """
     global _rate_cache
     raw = (environ if environ is not None else os.environ).get(
         TRACE_SAMPLE_ENV, "").strip()
+    if not raw:
+        return default
     if raw == _rate_cache[0]:
         return _rate_cache[1]
     try:
-        rate = float(raw) if raw else 1.0
+        rate = float(raw)
     except ValueError:
         rate = 1.0
     rate = min(max(rate, 0.0), 1.0)
@@ -225,13 +242,15 @@ def request_context(remote: Optional[TraceContext] = None
     unsampled request needs genuine IDs here — unlike
     :func:`new_root`, rate 0 still allocates.  A remote parent's
     sampling decision is honored (head sampling: whoever started the
-    trace decided).
+    trace decided); a root minted here is sampled at
+    ``REPRO_TRACE_SAMPLE``, else at :data:`EDGE_SAMPLE_RATE`.
     """
     if remote is not None:
         return remote.child() if remote.sampled else remote
     trace_id = new_trace_id()
+    rate = sample_rate(default=EDGE_SAMPLE_RATE)
     return TraceContext(trace_id, new_span_id(),
-                        sampled=trace_sampled(trace_id, sample_rate()))
+                        sampled=trace_sampled(trace_id, rate))
 
 
 # --------------------------------------------------------------------------

@@ -112,8 +112,9 @@ class _Pending:
     enqueued: float
     quality: str = "ok"
     #: The submitter's trace context: the flush span parents on the
-    #: first member's and links every member's, so a batch shared by
-    #: many requests is reachable from each request's trace.
+    #: first sampled member's and links every sampled member's, so a
+    #: batch shared by many requests is reachable from each sampled
+    #: request's trace.
     trace_ctx: Optional[trace.TraceContext] = None
 
 
@@ -277,12 +278,17 @@ class MicroBatchScheduler:
         self.telemetry.counter("serve.batches").increment()
         self.telemetry.histogram("serve.batch_size",
                                  BATCH_BUCKETS).observe(size)
-        member_contexts = [entry.trace_ctx for entry in entries
-                           if entry.trace_ctx is not None]
+        # Parent on the first sampled member and link every sampled
+        # one; with members but none sampled, parenting on any member
+        # makes the flush (and the inversion under it) a stage timer.
+        members = [entry.trace_ctx for entry in entries
+                   if entry.trace_ctx is not None]
+        sampled = [context for context in members if context.sampled]
+        parent = sampled[0] if sampled else (members[0] if members
+                                             else None)
         with self.telemetry.span(
                 "serve.flush", {"batch_size": size},
-                parent=member_contexts[0] if member_contexts else None,
-                links=member_contexts) as span:
+                parent=parent, links=sampled) as span:
             try:
                 with self.telemetry.span("estimator.invert_batch",
                                          {"batch_size": size}):

@@ -39,6 +39,9 @@ from repro.serve import (
     InferenceService,
     SensorConfig,
 )
+from repro.obs import MemorySink
+from repro.obs import trace
+from repro.obs.recorder import recording
 from repro.serve.loadgen import LoadProfile, generate_requests
 
 #: Concurrent tenants for the e2e stream test (acceptance bar: >= 8).
@@ -795,6 +798,120 @@ class TestWsProtocolSurface:
         assert "gateway.internal_errors" \
             not in snapshot["counters"]
 
+
+#: The span stages one WS estimate passes through.
+_STAGES = ("gateway.request", "serve.estimate", "serve.session",
+           "serve.flush", "estimator.invert_batch")
+
+
+def _ws_estimate(model, traceparent=None):
+    """One WS estimate: its reply, span events, per-stage histogram
+    counts and the flight recorder's span records.
+
+    All are read before the socket closes, so the upgrade request's
+    own ``gateway.request`` span (open for the connection's life) is
+    not among them.
+    """
+    message = {"type": "estimate", "request": _request("s", 0).to_dict()}
+    if traceparent is not None:
+        message["traceparent"] = traceparent
+    service = _service(model, sink=MemorySink())
+
+    async def scenario(recorder):
+        gateway = Gateway(service, tenants=TenantTable(_tenants(1)))
+        async with gateway:
+            host, port = gateway.address
+            client = await WebSocketClient.connect(host, port,
+                                                   token="token-0")
+            await client.send_json(message)
+            reply = await client.recv_json()
+            histograms = service.telemetry.snapshot()["histograms"]
+            events = list(service.telemetry.sink.events)
+            records = [event for event in recorder.snapshot()
+                       if event["kind"] == "span"]
+            await client.close()
+        counts = {name: histograms[f"span.{name}.seconds"]["count"]
+                  for name in _STAGES
+                  if f"span.{name}.seconds" in histograms}
+        return reply, events, counts, records
+
+    with recording() as recorder:
+        return asyncio.run(scenario(recorder))
+
+
+class TestHeadSampling:
+    """Edge roots are head-sampled at 1% by default: an unsampled
+    request is timed per stage but records no span; a sampled one
+    (remote flags ``01`` or a set ``REPRO_TRACE_SAMPLE``) records
+    the full tree."""
+
+    @pytest.fixture(autouse=True)
+    def _edge_default(self, monkeypatch):
+        monkeypatch.delenv(trace.TRACE_SAMPLE_ENV, raising=False)
+
+    def test_unsampled_estimate_times_stages_only(self, model_900,
+                                                  monkeypatch):
+        monkeypatch.setattr(trace, "new_trace_id", lambda: "f" * 32)
+        reply, events, counts, records = _ws_estimate(model_900)
+        assert reply["type"] == "estimate"
+        assert reply["trace_id"] == "f" * 32
+        assert counts == {name: 1 for name in _STAGES}
+        assert events == []
+        assert records == []
+
+    def _assert_full_tree(self, events, records, trace_id, parent):
+        spans = {}
+        for event in events:
+            assert event["trace_id"] == trace_id
+            spans.setdefault(event["span"], []).append(event)
+        assert {name: len(group) for name, group in spans.items()} \
+            == {name: 1 for name in _STAGES}
+        (edge,), (estimate,) = spans["gateway.request"], \
+            spans["serve.estimate"]
+        (session,), (flush,) = spans["serve.session"], \
+            spans["serve.flush"]
+        (invert,) = spans["estimator.invert_batch"]
+        assert edge["parent_span_id"] == parent
+        assert estimate["parent_span_id"] == edge["span_id"]
+        assert session["parent_span_id"] == estimate["span_id"]
+        assert flush["parent_span_id"] == estimate["span_id"]
+        assert invert["parent_span_id"] == flush["span_id"]
+        assert flush["links"] == [{"trace_id": trace_id,
+                                   "span_id": estimate["span_id"]}]
+        assert sorted(record["span"] for record in records) \
+            == sorted(_STAGES)
+
+    def test_remote_flags_01_records_the_full_tree(self, model_900,
+                                                   monkeypatch):
+        # The upgrade request mints its own (unsampled) edge root.
+        monkeypatch.setattr(trace, "new_trace_id", lambda: "e" * 32)
+        sent_trace = "f" * 32
+        reply, events, counts, records = _ws_estimate(
+            model_900, f"00-{sent_trace}-{'34' * 8}-01")
+        assert reply["trace_id"] == sent_trace
+        assert counts == {name: 1 for name in _STAGES}
+        self._assert_full_tree(events, records, sent_trace, "34" * 8)
+
+    def test_remote_flags_00_stays_unsampled(self, model_900):
+        sent_trace = "0" * 31 + "1"
+        reply, events, counts, records = _ws_estimate(
+            model_900, f"00-{sent_trace}-{'34' * 8}-00")
+        assert reply["trace_id"] == sent_trace
+        assert counts == {name: 1 for name in _STAGES}
+        assert events == [] and records == []
+
+    def test_set_rate_governs_the_edge(self, model_900, monkeypatch):
+        monkeypatch.setenv(trace.TRACE_SAMPLE_ENV, "1")
+        monkeypatch.setattr(trace, "new_trace_id", lambda: "f" * 32)
+        reply, events, counts, records = _ws_estimate(model_900)
+        assert reply["trace_id"] == "f" * 32
+        self._assert_full_tree(events, records, "f" * 32, None)
+        monkeypatch.setenv(trace.TRACE_SAMPLE_ENV, "0")
+        monkeypatch.setattr(trace, "new_trace_id",
+                            lambda: "0" * 31 + "1")
+        _, events, counts, records = _ws_estimate(model_900)
+        assert counts == {name: 1 for name in _STAGES}
+        assert events == [] and records == []
 
 class TestClientContracts:
     def test_client_rejects_bad_accept_key(self):

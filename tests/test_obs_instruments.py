@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
@@ -19,6 +22,9 @@ from repro.obs import (
     observed,
     set_registry,
 )
+from repro.obs import trace
+from repro.obs.instruments import LATENCY_BUCKETS, Span, StageTimer
+from repro.obs.recorder import recording
 from repro.obs.registry import _NULL_SPAN
 
 
@@ -163,6 +169,144 @@ class TestSpanStatus:
         assert event["status"] == "error"
         assert event["error"] == "ValueError"
         assert event["error_message"] == "bad frame at index 7"
+
+
+def _linear_scan(bounds, values):
+    """The reference ``observe``: the first bound >= value, else the
+    overflow bucket; running min/max by builtin ``min``/``max``."""
+    counts = [0] * (len(bounds) + 1)
+    minimum, maximum = float("inf"), float("-inf")
+    for value in values:
+        index = 0
+        for index, bound in enumerate(bounds):
+            if value <= bound:
+                break
+        else:
+            index = len(bounds)
+        counts[index] += 1
+        minimum = min(minimum, value)
+        maximum = max(maximum, value)
+    return counts, minimum, maximum
+
+
+class TestHistogramObserve:
+    @pytest.mark.parametrize("bounds", [LATENCY_BUCKETS, (0.0,),
+                                        (-1.0, 0.0, 2.5)])
+    def test_bisect_matches_linear_scan(self, bounds):
+        rng = np.random.default_rng(5)
+        values = list(rng.normal(0.0, 2.0, 400))
+        values += list(10.0 ** rng.uniform(-6.0, 1.0, 400))
+        values += list(bounds)
+        values += [float("inf"), float("-inf"), -0.0, 0.0,
+                   float("nan")]
+        rng.shuffle(values)
+        histogram = Histogram("h", bounds)
+        for value in values:
+            histogram.observe(value)
+        counts, minimum, maximum = _linear_scan(bounds, values)
+        assert histogram.counts == counts
+        assert histogram.count == len(values)
+        assert histogram.minimum == minimum
+        assert histogram.maximum == maximum
+
+    def test_nan_lands_in_overflow_and_spares_extremes(self):
+        histogram = Histogram("h", (1.0, 2.0))
+        histogram.observe(float("nan"))
+        histogram.observe(1.5)
+        assert histogram.counts == [0, 1, 1]
+        assert histogram.minimum == 1.5
+        assert histogram.maximum == 1.5
+        assert math.isnan(histogram.total)
+
+    def test_signed_zero_keeps_first_seen_extreme(self):
+        histogram = Histogram("h", (0.0, 1.0))
+        histogram.observe(0.0)
+        histogram.observe(-0.0)
+        assert histogram.counts == [2, 0, 0]
+        assert math.copysign(1.0, histogram.minimum) == 1.0
+        assert math.copysign(1.0, histogram.maximum) == 1.0
+
+
+_UNSAMPLED_CTX = trace.TraceContext("f" * 32, "e" * 16, sampled=False)
+
+
+class TestStageTimer:
+    """A span whose resolved context is unsampled times, nothing more."""
+
+    def test_unsampled_context_gives_a_timer(self):
+        sink = MemorySink()
+        registry = Registry(sink)
+        with recording() as recorder:
+            with registry.span("stage", {"k": 1},
+                               context=_UNSAMPLED_CTX) as span:
+                span.set("ignored", True)
+        assert isinstance(span, StageTimer)
+        assert span.duration_s >= 0.0
+        histogram = registry.snapshot()["histograms"][
+            "span.stage.seconds"]
+        assert histogram["count"] == 1
+        assert sink.events == []
+        assert len(recorder) == 0
+
+    def test_sampled_context_gives_a_full_span(self):
+        sink = MemorySink()
+        registry = Registry(sink)
+        sampled = trace.TraceContext("a" * 32, "b" * 16)
+        with registry.span("stage", parent=sampled) as span:
+            pass
+        assert isinstance(span, Span)
+        assert sink.events[0]["trace_id"] == "a" * 32
+        assert sink.events[0]["parent_span_id"] == "b" * 16
+
+    def test_explicit_context_becomes_ambient_for_nested_spans(self):
+        sink = MemorySink()
+        registry = Registry(sink)
+        with registry.span("outer", context=_UNSAMPLED_CTX):
+            assert trace.current_context() is _UNSAMPLED_CTX
+            with registry.span("inner") as inner:
+                pass
+        assert trace.current_context() is None
+        assert isinstance(inner, StageTimer)
+        assert sink.events == []
+        histograms = registry.snapshot()["histograms"]
+        assert histograms["span.outer.seconds"]["count"] == 1
+        assert histograms["span.inner.seconds"]["count"] == 1
+
+    def test_explicit_parent_becomes_ambient(self):
+        registry = Registry()
+        with trace.use_context(trace.TraceContext("a" * 32, "b" * 16)):
+            with registry.span("flush", parent=_UNSAMPLED_CTX):
+                assert trace.current_context() is _UNSAMPLED_CTX
+
+    def test_ambient_unsampled_leaves_ambient_alone(self):
+        registry = Registry()
+        with trace.use_context(_UNSAMPLED_CTX):
+            timer = registry.span("stage")
+            with timer:
+                assert trace.current_context() is _UNSAMPLED_CTX
+        assert isinstance(timer, StageTimer)
+        assert timer._token is None
+
+    def test_timer_observes_and_propagates_errors(self):
+        registry = Registry()
+        with pytest.raises(ValueError):
+            with registry.span("stage", context=_UNSAMPLED_CTX):
+                raise ValueError("boom")
+        assert trace.current_context() is None
+        assert registry.snapshot()["histograms"][
+            "span.stage.seconds"]["count"] == 1
+
+    def test_unsampled_root_keeps_nested_spans_unsampled(self,
+                                                         monkeypatch):
+        monkeypatch.setenv(trace.TRACE_SAMPLE_ENV, "0")
+        sink = MemorySink()
+        registry = Registry(sink)
+        with registry.span("root") as root:
+            with registry.span("child") as child:
+                pass
+        assert isinstance(root, StageTimer)
+        assert isinstance(child, StageTimer)
+        assert sink.events == []
 
 
 class TestHistogramMerge:

@@ -71,6 +71,26 @@ class TestSampling:
     def test_unsampled_child_is_self(self):
         assert UNSAMPLED.child() is UNSAMPLED
 
+    def test_edge_roots_default_to_the_edge_rate(self, monkeypatch):
+        monkeypatch.delenv(trace.TRACE_SAMPLE_ENV, raising=False)
+        monkeypatch.setattr(trace, "new_trace_id", lambda: "f" * 32)
+        assert not request_context().sampled
+        assert trace.new_root().sampled
+        monkeypatch.setattr(trace, "new_trace_id",
+                            lambda: "0" * 31 + "1")
+        assert request_context().sampled
+        assert trace.sample_rate({}, default=trace.EDGE_SAMPLE_RATE) \
+            == trace.EDGE_SAMPLE_RATE
+
+    @pytest.mark.parametrize("raw, sampled", [("1", True), ("0", False),
+                                              ("nope", True)])
+    def test_set_rate_governs_edge_and_in_process_roots(
+            self, monkeypatch, raw, sampled):
+        monkeypatch.setenv(trace.TRACE_SAMPLE_ENV, raw)
+        monkeypatch.setattr(trace, "new_trace_id", lambda: "f" * 32)
+        assert request_context().sampled is sampled
+        assert trace.new_root().sampled is sampled
+
     def test_request_context_always_has_real_ids(self, monkeypatch):
         monkeypatch.setenv(trace.TRACE_SAMPLE_ENV, "0")
         context = request_context()
@@ -155,7 +175,11 @@ def _by_name(events):
 
 
 class TestStitchedServeTrace:
-    def test_one_request_is_one_coherent_tree(self, model_900):
+    def test_one_request_is_one_coherent_tree(self, model_900,
+                                              monkeypatch):
+        # An edge-minted root is sampled at 1% by default; this test
+        # checks the tree of a sampled one.
+        monkeypatch.setenv(trace.TRACE_SAMPLE_ENV, "1")
         context = request_context()
         with observed(sink=MemorySink()) as registry:
             service = InferenceService(
@@ -211,6 +235,58 @@ class TestStitchedServeTrace:
         assert linked == members
         assert len({event["trace_id"]
                     for event in spans["serve.estimate"]}) == 3
+
+
+    def test_mixed_flush_hangs_under_the_sampled_member(
+            self, model_900, monkeypatch):
+        """Batch of 3 where only the 2nd request's trace is sampled:
+        its trace still holds the flush and the inversion."""
+        monkeypatch.setenv(trace.TRACE_SAMPLE_ENV, "0.5")
+        trace_ids = iter(["f" * 32, "0" * 31 + "1", "e" * 32])
+        monkeypatch.setattr(trace, "new_trace_id",
+                            lambda: next(trace_ids))
+        contexts = [request_context() for _ in range(3)]
+        assert [c.sampled for c in contexts] == [False, True, False]
+        with observed(sink=MemorySink()) as registry:
+            service = InferenceService(
+                policy=BatchPolicy(max_batch=3, max_delay_s=0.05),
+                model_factory=lambda config: model_900,
+                registry=registry)
+
+            async def one(index, context):
+                with trace.use_context(context):
+                    return await service.estimate(EstimateRequest(
+                        sensor_id=f"s{index}", sequence=0, time=0.0,
+                        phi1=0.5, phi2=0.4, config=SensorConfig()))
+
+            async def go():
+                return await asyncio.gather(*(
+                    one(index, context)
+                    for index, context in enumerate(contexts)))
+
+            responses = asyncio.run(go())
+            events = registry.sink.events
+            histograms = registry.snapshot()["histograms"]
+        assert [r.batch_size for r in responses] == [3, 3, 3]
+        sampled = contexts[1]
+        spans = _by_name(event for event in events
+                         if event.get("trace_id") == sampled.trace_id)
+        assert {name: len(group) for name, group in spans.items()} == {
+            "serve.estimate": 1, "serve.session": 1, "serve.flush": 1,
+            "estimator.invert_batch": 1}
+        estimate = spans["serve.estimate"][0]
+        flush = spans["serve.flush"][0]
+        invert = spans["estimator.invert_batch"][0]
+        assert estimate["parent_span_id"] == sampled.span_id
+        assert flush["parent_span_id"] == estimate["span_id"]
+        assert invert["parent_span_id"] == flush["span_id"]
+        assert flush["links"] == [{"trace_id": sampled.trace_id,
+                                   "span_id": estimate["span_id"]}]
+        # Unsampled members emit nothing, yet every request still
+        # counts in the stage histograms.
+        assert len(events) == 4
+        assert histograms["span.serve.estimate.seconds"]["count"] == 3
+        assert histograms["span.serve.flush.seconds"]["count"] == 1
 
 
 def _traced_trial(value):
